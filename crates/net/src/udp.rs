@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::time::{Duration, Instant};
 
 use coplay_telemetry::Telemetry;
 
@@ -89,71 +88,6 @@ impl UdpTransport {
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.socket.local_addr()
     }
-
-    /// Waits up to `timeout` for a datagram from a known peer, blocking in
-    /// the kernel under a computed deadline instead of sleep-polling — a
-    /// paced frame waiting on remote input wakes the moment the packet
-    /// lands rather than paying up-to-1 ms quantization per check.
-    ///
-    /// Returns `Ok(None)` if the deadline passes with nothing received.
-    /// The socket is restored to non-blocking before returning, on every
-    /// path, so `try_recv` keeps its semantics afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error from the OS other than the timeout itself.
-    // detlint exempts crates/net from wall-clock rules: transport pacing is
-    // inherently wall-clock and never feeds simulation state.
-    #[allow(clippy::disallowed_methods)]
-    pub fn recv_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<(PeerId, Vec<u8>)>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        self.socket
-            .set_nonblocking(false)
-            .map_err(TransportError::Io)?;
-        let result = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break Ok(None);
-            }
-            // Never Some(ZERO): that is "no timeout" on some platforms and
-            // an InvalidInput error on others.
-            if let Err(e) = self.socket.set_read_timeout(Some(remaining)) {
-                break Err(TransportError::Io(e));
-            }
-            match self.socket.recv_from(&mut self.buf) {
-                Ok((n, from)) => {
-                    // Same policy as `try_recv`: unknown senders are noise.
-                    if let Some(&peer) = self.by_addr.get(&from) {
-                        self.telemetry
-                            .counter_add("udp_datagrams_received_total", 1);
-                        self.telemetry
-                            .counter_add("udp_bytes_received_total", n as u64);
-                        break Ok(Some((peer, self.buf[..n].to_vec())));
-                    }
-                }
-                // Timeouts surface as WouldBlock or TimedOut depending on
-                // the platform; the loop re-checks the deadline either way.
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => break Err(TransportError::Io(e)),
-            }
-        };
-        // Restore non-blocking mode even when the wait failed; a transport
-        // left blocking would stall the frame loop's next poll.
-        let restore = self
-            .socket
-            .set_read_timeout(None)
-            .and_then(|()| self.socket.set_nonblocking(true));
-        match (result, restore) {
-            (Err(e), _) => Err(e),
-            (Ok(_), Err(e)) => Err(TransportError::Io(e)),
-            (ok, Ok(())) => ok,
-        }
-    }
 }
 
 impl Transport for UdpTransport {
@@ -207,6 +141,8 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coplay_clock::{Clock, SimTime, SystemClock};
+    use std::time::Duration;
 
     fn pair() -> (UdpTransport, UdpTransport) {
         let mut a = UdpTransport::bind(PeerId(0), "127.0.0.1:0").unwrap();
@@ -219,9 +155,14 @@ mod tests {
     }
 
     fn recv_blocking(t: &mut UdpTransport) -> (PeerId, Vec<u8>) {
-        t.recv_timeout(Duration::from_secs(2))
-            .unwrap()
-            .expect("no datagram arrived within 2s")
+        let clock = SystemClock::new();
+        while clock.now() < SimTime::from_secs(2) {
+            if let Some(got) = t.try_recv().unwrap() {
+                return got;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("no datagram arrived within 2s");
     }
 
     #[test]
@@ -250,7 +191,7 @@ mod tests {
         let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
         stranger.send_to(b"noise", b.local_addr().unwrap()).unwrap();
         // Give the kernel a moment, then confirm the noise is invisible.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
         assert!(b.try_recv().unwrap().is_none());
     }
 
@@ -258,27 +199,5 @@ mod tests {
     fn empty_queue_returns_none() {
         let (mut a, _b) = pair();
         assert!(a.try_recv().unwrap().is_none());
-    }
-
-    #[test]
-    fn recv_timeout_expires_and_restores_nonblocking() {
-        let (mut a, mut b) = pair();
-        assert!(a.recv_timeout(Duration::from_millis(10)).unwrap().is_none());
-        // The socket must be non-blocking again: an immediate poll returns
-        // rather than hanging.
-        assert!(a.try_recv().unwrap().is_none());
-        // And a subsequent wait still delivers normally.
-        b.send(PeerId(0), b"late").unwrap();
-        let (from, data) = recv_blocking(&mut a);
-        assert_eq!((from, data.as_slice()), (PeerId(1), b"late".as_slice()));
-    }
-
-    #[test]
-    fn recv_timeout_ignores_unknown_senders_until_deadline() {
-        let (_, mut b) = pair();
-        let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
-        stranger.send_to(b"noise", b.local_addr().unwrap()).unwrap();
-        assert!(b.recv_timeout(Duration::from_millis(20)).unwrap().is_none());
-        assert!(b.try_recv().unwrap().is_none());
     }
 }

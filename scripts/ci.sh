@@ -45,6 +45,10 @@ cargo run -q --release -p coplay-bench --bin tracescope -- --quick --rollback
 echo "==> relay tests (routing core, wire codec, client adapter, UDP loop)"
 cargo test -q -p coplay-relay
 
+echo "==> e2e smoke (every workload 2 s over real UDP; fails if the replicas disagree)"
+# e2e-bench is its own workspace, so the steps above never build or test it.
+cargo test --release --manifest-path e2e-bench/Cargo.toml
+
 echo "==> fleet smoke (64 sessions) + perf-regression guard (2x vs checked-in baseline)"
 cargo run -q --release -p coplay-bench --bin fleet -- --quick --check results/fleet_baseline.json
 
