@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use coplay_bench::{banner, write_results_json, Options};
 use coplay_games::{catalog, rom_pong_console, rom_race_console};
-use coplay_rollback::{delta, SnapshotRing};
+use coplay_sync::{delta, SnapshotRing};
 use coplay_sync::{InputMsg, Message};
 use coplay_vm::{
     Console, Cpu, Devices, DirtyPages, InputWord, Instruction, InterpMode, Machine, Reg, Rom,

@@ -13,7 +13,7 @@
 //! * **wire** — `received − sent`: the impaired network.
 //! * **wait** — `merged − received` on the consumer, split into the share
 //!   overlapping input stalls (**stall**) and the remainder (**lag**).
-//! * **present** — `presented − merged` (zero under both drivers today,
+//! * **present** — `presented − merged` (zero under both policies today,
 //!   kept so renderer-side delay is attributable when one appears).
 //! * **resim** — `authoritative − presented`, where `authoritative` is the
 //!   last time the frame was (re)executed; nonzero only when a rollback

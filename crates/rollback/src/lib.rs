@@ -1,77 +1,14 @@
-//! **coplay-rollback** — predicted-input rollback netcode as an alternative
-//! to lockstep stalls.
+//! **coplay-rollback** — re-exports of the rollback pieces of
+//! `coplay-sync`.
 //!
-//! The paper's lockstep core (`coplay-sync`) buys logical consistency by
-//! *waiting*: a frame executes only when every site's input for it has
-//! arrived, so an RTT spike longer than the local-lag budget freezes every
-//! replica. This crate trades that freeze for speculation:
-//!
-//! * [`RollbackSession`] executes frames immediately, substituting
-//!   *predicted* inputs (an [`InputPredictor`], default [`RepeatLast`]) for
-//!   remote partials that have not arrived yet.
-//! * A [`SnapshotRing`] keeps periodic machine-state checkpoints, stored
-//!   as one full newest-state image plus XOR/RLE back-[`delta`]s over
-//!   pooled buffers. Captures and deltas are guided by the machine's
-//!   dirty-page bitmaps (`Machine::save_state_dirty_into`), so the
-//!   steady-state checkpoint path scans and copies only the pages a
-//!   frame actually wrote. When a late authoritative input contradicts a
-//!   prediction, the session rewinds the ring to the checkpoint at or
-//!   before the mispredicted frame, patches the machine's divergent
-//!   pages (`Machine::load_state_dirty`), and resimulates to the present
-//!   — invisible to the game, which only ever sees `step_frame` and
-//!   `load_state`.
-//! * Speculation is bounded: past `max_rollback_frames` beyond the
-//!   confirmed-input frontier the session degrades to lockstep-style
-//!   blocking, keeping worst-case repair cost and checkpoint memory fixed.
-//!
-//! The session mirrors the lockstep driver's API (`new`/`tick`/`pump`/
-//! `stop`/`stats`, the same [`Step`](coplay_sync::Step)/
-//! [`FrameReport`](coplay_sync::FrameReport) shapes, the same wire
-//! protocol) and implements [`SessionDriver`](coplay_sync::SessionDriver),
-//! so `run_realtime` and the discrete-event simulator drive either
-//! interchangeably — pick the mode per site via
-//! [`ConsistencyMode`](coplay_sync::ConsistencyMode) in `SyncConfig`.
-//!
-//! # Examples
-//!
-//! Two rollback sites over an in-process link:
-//!
-//! ```
-//! use coplay_net::{loopback, PeerId};
-//! use coplay_rollback::RollbackSession;
-//! use coplay_sync::{run_realtime, ConsistencyMode, RandomPresser, SyncConfig};
-//! use coplay_vm::{NullMachine, Player};
-//!
-//! let (ta, tb) = loopback(PeerId(0), PeerId(1));
-//! let mut cfg0 = SyncConfig::two_player(0);
-//! cfg0.consistency = ConsistencyMode::rollback();
-//! cfg0.cfps = 240; // quick doc test
-//! let mut cfg1 = cfg0.clone();
-//! cfg1.my_site = 1;
-//!
-//! let a = RollbackSession::new(cfg0, NullMachine::new(), ta,
-//!                              RandomPresser::new(Player::ONE, 1));
-//! let b = RollbackSession::new(cfg1, NullMachine::new(), tb,
-//!                              RandomPresser::new(Player::TWO, 2));
-//!
-//! let ha = std::thread::spawn(move || run_realtime(a, 30, |_, _| {}));
-//! let hb = std::thread::spawn(move || run_realtime(b, 30, |_, _| {}));
-//! ha.join().unwrap()?;
-//! hb.join().unwrap()?;
-//! # Ok::<(), coplay_sync::SyncError>(())
-//! ```
+//! Rollback is no longer a separate driver: [`RollbackSession`] is
+//! `coplay_sync::Session` under the `Speculative` consistency policy, and
+//! the predictor and checkpoint ring live beside it in `coplay-sync`. This
+//! crate keeps the paths the wall-clock benchmark under `e2e-bench/`
+//! imports, which that benchmark pins; it goes away once the benchmark
+//! imports them from `coplay-sync`. New code should use `coplay-sync`
+//! directly.
 
 #![warn(missing_docs)]
 
-pub mod delta;
-mod pool;
-mod predict;
-mod session;
-mod snapshot;
-
-pub use pool::{BufferPool, PoolStats};
-pub use predict::{AssumeIdle, InputPredictor, RepeatLast};
-pub use session::RollbackSession;
-pub use snapshot::{
-    CheckpointInfo, CheckpointReport, CompressionStats, RestoreError, SnapshotRing,
-};
+pub use coplay_sync::{CheckpointReport, InputPredictor, RollbackSession, SnapshotRing};

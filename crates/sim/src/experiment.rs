@@ -1,7 +1,7 @@
 //! The paper's testbed in software: two (or more) gaming sites, a Netem box
 //! between them, and a LAN time server — all in deterministic virtual time.
 //!
-//! [`Experiment`] wires `LockstepSession`s over a [`SimNetwork`], runs the
+//! [`Experiment`] wires session sites over a [`SimNetwork`], runs the
 //! configured number of frames, and computes exactly the statistics of §4:
 //! Series 1 (per-site average frame time and average deviation — Figure 1)
 //! and Series 2 (average absolute inter-site frame-begin difference —
@@ -15,10 +15,9 @@ use std::rc::Rc;
 use coplay_clock::{Clock, EventId, EventQueue, SimDuration, SimTime, TimeServer, VirtualClock};
 use coplay_games::GameId;
 use coplay_net::{JitterDistribution, NetemConfig, PeerId, SimNetwork, SimSocket, Transport};
-use coplay_rollback::RollbackSession;
 use coplay_sync::{
-    ConsistencyMode, LockstepSession, Message, RandomPresser, SessionStats, Step, SyncConfig,
-    SyncError,
+    Consistency, ConsistencyMode, FrameReport, LockstepSession, Message, RandomPresser,
+    RollbackSession, Session, SessionDriver, SessionStats, Step, SyncConfig, SyncError,
 };
 use coplay_telemetry::{EventKind, Telemetry};
 use coplay_vm::{Machine, Player};
@@ -70,8 +69,8 @@ pub struct ExperimentConfig {
     pub num_players: u8,
     /// Number of observer sites that join at session start.
     pub observers: u8,
-    /// Virtual time at which a latecomer observer joins (snapshot path),
-    /// if any.
+    /// Virtual time at which a latecomer observer boots and joins
+    /// mid-game from a state snapshot served by the master, if any.
     pub latecomer_at: Option<SimDuration>,
     /// Extra delay before the slave (site 1) boots, for the pacing ablation.
     pub start_skew: SimDuration,
@@ -94,9 +93,9 @@ pub struct ExperimentConfig {
     pub forensics_root: Option<PathBuf>,
     /// Consistency maintenance for the *player* sites: the paper's lockstep
     /// (default) or speculative rollback. Observer sites always run
-    /// lockstep — they have no local input to predict around — and
-    /// `latecomer_at` requires lockstep players (a speculative master
-    /// cannot serve an authoritative snapshot).
+    /// lockstep — they have no local input to predict around. A latecomer
+    /// joins under either mode: a speculative master serves its newest
+    /// authoritative checkpoint.
     pub consistency: ConsistencyMode,
 }
 
@@ -160,6 +159,9 @@ pub struct ExperimentResult {
     pub synchrony_ms: f64,
     /// `true` if every common frame's state hash matched across replicas.
     pub converged: bool,
+    /// Per site (same order as `session_stats`), how many of its frame
+    /// hashes were compared against site 0's (0 for site 0 itself).
+    pub compared_frames: Vec<u64>,
     /// Frames measured per site.
     pub frames: u64,
     /// Virtual time the run spanned.
@@ -232,46 +234,42 @@ impl std::error::Error for SimError {}
 
 /// One site's session under either consistency mode. Both speak the same
 /// wire protocol; the harness only needs a common driving surface.
-// A handful of these exist per experiment and live for its whole run, so
-// the variant size gap is not worth an extra indirection on every tick.
-#[allow(clippy::large_enum_variant)]
-enum Site {
-    Lockstep(LockstepSession<Box<dyn Machine>, SimSocket, RandomPresser>),
-    Rollback(RollbackSession<Box<dyn Machine>, SimSocket, RandomPresser>),
+trait Site: SessionDriver<Machine = Box<dyn Machine>> {
+    fn drain_confirmed(&mut self, executed: Option<&FrameReport>, out: &mut Vec<(u64, u64)>);
 }
 
-impl Site {
-    fn tick(&mut self, now: SimTime) -> Result<Step, SyncError> {
-        match self {
-            Site::Lockstep(s) => s.tick(now),
-            Site::Rollback(s) => s.tick(now),
-        }
+impl<C: Consistency> Site for Session<Box<dyn Machine>, SimSocket, RandomPresser, C> {
+    fn drain_confirmed(&mut self, executed: Option<&FrameReport>, out: &mut Vec<(u64, u64)>) {
+        Session::drain_confirmed(self, executed, out);
     }
+}
 
-    fn stats(&self) -> SessionStats {
-        match self {
-            Site::Lockstep(s) => s.stats(),
-            Site::Rollback(s) => s.stats(),
-        }
-    }
-
-    fn config(&self) -> &SyncConfig {
-        match self {
-            Site::Lockstep(s) => s.config(),
-            Site::Rollback(s) => s.config(),
-        }
+/// Attaches the time server (and optionally drops frame hashing) before
+/// the session's policy is erased.
+fn testbed_site<C: Consistency + 'static>(
+    session: Session<Box<dyn Machine>, SimSocket, RandomPresser, C>,
+    hash_frames: bool,
+) -> Box<dyn Site> {
+    let session = session.with_time_server(PeerId::TIME_SERVER);
+    if hash_frames {
+        Box::new(session)
+    } else {
+        Box::new(session.without_frame_hashes())
     }
 }
 
 struct SiteRunner {
     site_no: u8,
-    session: Site,
+    session: Box<dyn Site>,
+    /// When the site starts running; it ignores ticks before this.
+    boot: SimTime,
     pending_wake: Option<EventId>,
     frames_done: u64,
-    /// Authoritative per-frame hashes: every executed frame's hash for a
-    /// lockstep site, the *confirmed* (post-repair) hashes for a rollback
-    /// site — speculative hashes never enter the convergence check.
+    /// Confirmed per-frame hashes, from `first_frame` on. A rollback
+    /// site's speculative hashes never enter the convergence check.
     hashes: Vec<u64>,
+    /// Scratch for the confirmed `(frame, hash)` pairs of one tick.
+    confirmed: Vec<(u64, u64)>,
     first_frame: u64,
     failed: bool,
 }
@@ -375,20 +373,17 @@ impl Experiment {
                 cfg.seed.wrapping_add(1 + site_no as u64),
             );
             let socket = SimNetwork::socket(&net, PeerId(site_no));
+            let hashes = cfg.check_convergence;
             let session = if cfg.consistency.is_rollback() && !is_observer {
-                let mut s = RollbackSession::new(sync_cfg, machine, socket, source)
-                    .with_time_server(PeerId::TIME_SERVER);
-                if !cfg.check_convergence {
-                    s = s.without_frame_hashes();
-                }
-                Site::Rollback(s)
+                testbed_site(
+                    RollbackSession::new(sync_cfg, machine, socket, source),
+                    hashes,
+                )
             } else {
-                let mut s = LockstepSession::new(sync_cfg, machine, socket, source)
-                    .with_time_server(PeerId::TIME_SERVER);
-                if !cfg.check_convergence {
-                    s = s.without_frame_hashes();
-                }
-                Site::Lockstep(s)
+                testbed_site(
+                    LockstepSession::new(sync_cfg, machine, socket, source),
+                    hashes,
+                )
             };
             // Boot times: everyone at 0 except a latecomer, which appears
             // at its join time.
@@ -403,9 +398,11 @@ impl Experiment {
             sites.push(SiteRunner {
                 site_no,
                 session,
+                boot,
                 pending_wake: Some(wake),
                 frames_done: 0,
                 hashes: Vec::new(),
+                confirmed: Vec::new(),
                 first_frame: 0,
                 failed: false,
             });
@@ -474,28 +471,22 @@ impl Experiment {
     ) -> Result<(), SimError> {
         let target = self.config.frames;
         let s = &mut sites[idx];
-        if s.failed || s.frames_done >= target.saturating_mul(2) {
+        // A latecomer does not exist before it boots: a datagram delivery
+        // must not tick it (or cancel its boot wake).
+        if now < s.boot || s.failed || s.frames_done >= target.saturating_mul(2) {
             return Ok(());
         }
         // Cancel any stale pending wake; we re-derive it from this tick.
         if let Some(id) = s.pending_wake.take() {
             wakes.cancel(id);
         }
+        let mut executed = None;
         match s.session.tick(now) {
             Ok(Step::Wait(t)) => {
                 s.pending_wake = Some(wakes.schedule(t.max(now), idx));
             }
             Ok(Step::FrameDone { report, next_wake }) => {
-                // A rollback site's report hash is speculative; its
-                // authoritative hashes are drained separately below.
-                if let Site::Lockstep(_) = s.session {
-                    if s.frames_done == 0 {
-                        s.first_frame = report.frame;
-                    }
-                    if let Some(h) = report.state_hash {
-                        s.hashes.push(h);
-                    }
-                }
+                executed = Some(report);
                 s.frames_done += 1;
                 s.pending_wake = Some(wakes.schedule(next_wake.max(now), idx));
             }
@@ -509,13 +500,13 @@ impl Experiment {
                 });
             }
         }
-        if let Site::Rollback(rb) = &mut s.session {
-            for (f, h) in rb.take_confirmed() {
-                if s.hashes.is_empty() {
-                    s.first_frame = f;
-                }
-                s.hashes.push(h);
+        s.session
+            .drain_confirmed(executed.as_ref(), &mut s.confirmed);
+        for (f, h) in s.confirmed.drain(..) {
+            if s.hashes.is_empty() {
+                s.first_frame = f;
             }
+            s.hashes.push(h);
         }
         Ok(())
     }
@@ -560,6 +551,7 @@ impl Experiment {
         // Convergence: every pair of replicas must agree on every common
         // frame's state hash (offset by each site's first executed frame).
         let mut converged = true;
+        let mut compared_frames = vec![0; sites.len()];
         if cfg.check_convergence {
             let reference = &sites[0];
             for (si, s) in sites.iter().enumerate().skip(1) {
@@ -569,6 +561,7 @@ impl Experiment {
                         continue;
                     };
                     if let Some(rh) = reference.hashes.get(ri as usize) {
+                        compared_frames[si] += 1;
                         if rh != h {
                             if converged {
                                 telemetry[si].record(end, EventKind::DesyncDetected { frame });
@@ -604,6 +597,7 @@ impl Experiment {
             sites: stats,
             synchrony_ms,
             converged,
+            compared_frames,
             frames: cfg.frames,
             elapsed: end.saturating_since(SimTime::ZERO),
             packets_offered: s01.offered + s10.offered,
@@ -724,14 +718,37 @@ mod tests {
 
     #[test]
     fn latecomer_joins_via_snapshot_and_converges() {
-        let mut cfg = quick(ExperimentConfig::default());
-        cfg.frames = 360;
-        cfg.latecomer_at = Some(SimDuration::from_secs(2)); // ~frame 120
-        let r = run_experiment(cfg).unwrap();
-        assert!(
-            r.converged,
-            "latecomer replica must match from its join point"
-        );
+        for consistency in [ConsistencyMode::Lockstep, ConsistencyMode::rollback()] {
+            let mut cfg = quick(ExperimentConfig::default());
+            cfg.frames = 360;
+            cfg.latecomer_at = Some(SimDuration::from_secs(2)); // ~frame 120
+            cfg.telemetry = true;
+            cfg.consistency = consistency;
+            let r = run_experiment(cfg).unwrap();
+            let latecomer = r.session_stats.len() - 1;
+            let loaded = r.telemetry[latecomer]
+                .events()
+                .iter()
+                .find_map(|e| match e.kind {
+                    EventKind::SnapshotLoaded { frame, .. } => Some(frame),
+                    _ => None,
+                })
+                .expect("the latecomer joins from a snapshot");
+            assert!(
+                loaded > 100,
+                "{consistency:?}: joined at frame {loaded}, before booting at ~120"
+            );
+            // Without compared hashes, convergence would hold vacuously.
+            assert!(
+                r.compared_frames[latecomer] > 100,
+                "{consistency:?}: {} latecomer frames compared",
+                r.compared_frames[latecomer]
+            );
+            assert!(
+                r.converged,
+                "{consistency:?}: latecomer replica must match from its join point"
+            );
+        }
     }
 
     #[test]

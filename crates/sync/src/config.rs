@@ -130,10 +130,10 @@ pub struct SyncConfig {
     /// handle compares equal to its clones regardless of recorded contents,
     /// so `SyncConfig` equality stays meaningful.
     pub telemetry: Telemetry,
-    /// How the session maintains logical consistency. The driver types are
-    /// separate (`LockstepSession` here, `RollbackSession` in the
-    /// `coplay-rollback` crate); harnesses read this field to decide which
-    /// to build, and `RollbackSession` reads its tuning from it.
+    /// How the session maintains logical consistency. The policy is part of
+    /// the session's type (`LockstepSession` or `RollbackSession`);
+    /// harnesses read this field to decide which to build, and
+    /// `RollbackSession` reads its tuning from it.
     pub consistency: ConsistencyMode,
     /// How datagrams reach the other sites. [`Topology::PeerToPeer`] (the
     /// default) preserves the paper's direct addressing;

@@ -20,12 +20,21 @@
 //!   master/slave pace smoothing (`SyncAdjustTimeDelta` from the master's
 //!   observed frame and `RTT/2`).
 //!
-//! [`LockstepSession`] assembles both into the paper's Algorithm 1 frame
-//! loop, together with the session-control handshake, RTT estimation, and
-//! the journal-version extensions (N players, observers, latecomer joins
-//! via state snapshots). Everything is *sans-io*: the discrete-event
-//! simulator in `coplay-sim` and the wall-clock runner in [`run_realtime`]
-//! drive the identical protocol code.
+//! [`Session`] assembles both into the paper's Algorithm 1 frame loop,
+//! together with the session-control handshake, RTT estimation, and the
+//! journal-version extensions (N players, observers, latecomer joins via
+//! state snapshots). Its consistency policy is a speculation window:
+//!
+//! * [`LockstepSession`] ([`Lockstep`], a window of zero frames) is the
+//!   paper's design: a frame waits until every site's input has arrived.
+//! * [`RollbackSession`] ([`Speculative`]) executes up to
+//!   `max_rollback_frames` ahead on predicted inputs ([`InputPredictor`]),
+//!   checkpoints into a [`SnapshotRing`], and repairs a misprediction by
+//!   restoring a checkpoint and resimulating.
+//!
+//! Everything is *sans-io*: the discrete-event simulator in `coplay-sim`
+//! and the wall-clock runner in [`run_realtime`] drive the identical
+//! protocol code.
 //!
 //! # Examples
 //!
@@ -61,28 +70,39 @@
 #![warn(missing_docs)]
 
 mod config;
-mod driver;
+mod consistency;
+pub mod delta;
 mod error;
 mod input_buffer;
 mod input_source;
+mod pool;
+mod predict;
 mod realtime;
 mod replay;
 mod rtt;
 mod session;
+mod snapshot;
 mod stats;
 mod sync_input;
 mod timing;
 mod wire;
 
 pub use config::{ConsistencyMode, SyncConfig, Topology};
-pub use driver::{FrameReport, LockstepSession, Step, JOIN_MARGIN_FRAMES};
+pub use consistency::{Consistency, Lockstep, Speculative};
 pub use error::{StopReason, SyncError};
 pub use input_buffer::InputBuffer;
 pub use input_source::{Idle, InputSource, RandomPresser, Scripted};
+pub use pool::{BufferPool, PoolStats};
+pub use predict::{InputPredictor, RepeatLast};
 pub use realtime::{run_realtime, RunOutcome};
 pub use replay::{Recording, ReplayError, CHECKPOINT_INTERVAL};
 pub use rtt::{RttEstimator, DEFAULT_PING_INTERVAL};
-pub use session::SessionDriver;
+pub use session::{
+    FrameReport, LockstepSession, RollbackSession, Session, SessionDriver, Step, JOIN_MARGIN_FRAMES,
+};
+pub use snapshot::{
+    CheckpointInfo, CheckpointReport, CompressionStats, RestoreError, SnapshotRing,
+};
 pub use stats::SessionStats;
 pub use sync_input::{InputSync, MasterObservation, RecvOutcome, OBSERVER_SITE, RETAIN_FRAMES};
 pub use timing::{FrameEnd, FrameTimer};

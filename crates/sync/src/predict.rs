@@ -31,18 +31,6 @@ impl InputPredictor for RepeatLast {
     }
 }
 
-/// Always predicts no input — a deliberately poor baseline that maximizes
-/// mispredictions whenever the remote player holds a button (used to
-/// exercise the rollback path in tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AssumeIdle;
-
-impl InputPredictor for AssumeIdle {
-    fn predict(&mut self, _site: u8, _frame: u64, _last: Option<InputWord>) -> InputWord {
-        InputWord::NONE
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,11 +40,5 @@ mod tests {
         let mut p = RepeatLast;
         assert_eq!(p.predict(1, 10, None), InputWord::NONE);
         assert_eq!(p.predict(1, 11, Some(InputWord(0x0300))), InputWord(0x0300));
-    }
-
-    #[test]
-    fn assume_idle_never_presses() {
-        let mut p = AssumeIdle;
-        assert_eq!(p.predict(0, 5, Some(InputWord(0xFF))), InputWord::NONE);
     }
 }

@@ -1,16 +1,16 @@
 //! A wall-clock runner for live play.
 //!
 //! Drives any [`SessionDriver`] — a [`LockstepSession`](crate::LockstepSession)
-//! or the rollback session from `coplay-rollback` — against real time and a
+//! or a [`RollbackSession`](crate::RollbackSession) — against real time and a
 //! real transport (UDP or loopback). This is the deployment shape of the
 //! paper's system: the same sans-io session code the simulator benchmarks,
 //! attached to the operating system's clock and sockets.
 
 use coplay_clock::{Clock, SimDuration, SimTime, SystemClock};
 
-use crate::driver::{FrameReport, Step};
 use crate::error::{StopReason, SyncError};
 use crate::session::SessionDriver;
+use crate::session::{FrameReport, Step};
 
 /// Result of [`run_realtime`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,8 +150,8 @@ fn wait_until(clock: &SystemClock, until: SimTime) {
 mod tests {
     use super::*;
     use crate::config::SyncConfig;
-    use crate::driver::LockstepSession;
     use crate::input_source::RandomPresser;
+    use crate::session::LockstepSession;
     use coplay_net::{loopback, PeerId};
     use coplay_vm::{NullMachine, Player};
     use std::time::Duration;

@@ -11,7 +11,7 @@ use std::fmt;
 
 use coplay_vm::{InputWord, Machine};
 
-use crate::driver::FrameReport;
+use crate::session::FrameReport;
 
 const MAGIC: &[u8; 6] = b"CPREC1";
 

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use coplay_clock::{SimDuration, SimTime};
+use coplay_clock::SimTime;
 use coplay_telemetry::{EventKind, SpanStage};
 use coplay_vm::InputWord;
 
@@ -61,6 +61,8 @@ struct PeerState {
     last_sent: u64,
     /// We owe `p` a fresh ack (we received something since our last send).
     need_ack: bool,
+    /// `p` has delivered at least one input frame.
+    heard: bool,
 }
 
 /// What [`InputSync::on_message`] learned from one incoming message
@@ -113,8 +115,6 @@ pub struct InputSync {
     peers: BTreeMap<u8, PeerState>,
     next_send: SimTime,
     master_rcv_time: Option<SimTime>,
-    /// Time at which the current `SyncInput` blockage began.
-    stalled_since: Option<SimTime>,
 }
 
 impl InputSync {
@@ -141,6 +141,7 @@ impl InputSync {
                         last_ack: init,
                         last_sent: init,
                         need_ack: false,
+                        heard: false,
                     },
                 )
             })
@@ -154,7 +155,6 @@ impl InputSync {
             peers,
             next_send: SimTime::ZERO,
             master_rcv_time: None,
-            stalled_since: None,
             cfg,
         }
     }
@@ -169,6 +169,7 @@ impl InputSync {
             last_ack: init,
             last_sent: init,
             need_ack: false,
+            heard: false,
         });
     }
 
@@ -192,6 +193,11 @@ impl InputSync {
         self.peers.get(&site).map(|p| p.last_rcv)
     }
 
+    /// `true` once `site` has delivered at least one input frame.
+    pub fn heard_from(&self, site: u8) -> bool {
+        self.peers.get(&site).is_some_and(|p| p.heard)
+    }
+
     /// `LastAckFrame[site]` (test/metrics hook).
     pub fn last_ack(&self, site: u8) -> Option<u64> {
         self.peers.get(&site).map(|p| p.last_ack)
@@ -199,8 +205,8 @@ impl InputSync {
 
     /// Lines 1–5: buffer the local partial input for `frame + BufFrame`.
     ///
-    /// Call exactly once per frame, before polling. `now` is used only for
-    /// stall accounting.
+    /// Call exactly once per frame, before polling. `now` only stamps the
+    /// trace span.
     pub fn begin_frame(&mut self, frame: u64, local: InputWord, now: SimTime) {
         debug_assert_eq!(frame, self.pointer, "one begin_frame per frame");
         if self.is_player() {
@@ -214,7 +220,6 @@ impl InputSync {
                     .span(now, SpanStage::Sampled, lag_f, self.cfg.my_site);
             }
         }
-        self.stalled_since = Some(now);
     }
 
     /// Line 21's exit condition: every player peer's partial input for the
@@ -240,14 +245,13 @@ impl InputSync {
     }
 
     /// Advances the pointer past the current frame *without* requiring the
-    /// exit condition — the speculative half of `take`, used by the
-    /// rollback driver, which merges predicted inputs itself. Prunes the
+    /// exit condition — the second half of `take`, used by the session,
+    /// which merges inputs (predicted ones too, when speculating) itself. Prunes the
     /// buffer exactly as `take` does (the prune floor already accounts for
     /// unacked and unreceived frames, so speculation never drops state a
     /// later rollback needs).
     pub fn advance(&mut self) {
         self.pointer += 1;
-        self.stalled_since = None;
         // Frames both delivered and universally acked can be dropped —
         // except for a bounded retention window kept for latecomer joins.
         let min_needed = self
@@ -286,8 +290,8 @@ impl InputSync {
     }
 
     /// Merges the buffered partials for `frame` under the port map,
-    /// treating absent sites as no input (the rollback driver substitutes
-    /// predictions for those before calling).
+    /// treating absent sites as no input (a speculative session substitutes
+    /// predictions for those).
     pub fn merged_input(&self, frame: u64) -> InputWord {
         self.buf.merged(frame, &self.cfg.port_map)
     }
@@ -421,6 +425,7 @@ impl InputSync {
                     }
                 }
                 peer.last_rcv = msg.last();
+                peer.heard = true;
                 if from == 0 && self.cfg.my_site != 0 {
                     self.master_rcv_time = Some(now);
                 }
@@ -463,20 +468,12 @@ impl InputSync {
             rcv_time,
         })
     }
-
-    /// How long the engine has been blocked waiting for remote input, if it
-    /// currently is (extension: drives the optional stall timeout).
-    pub fn stalled_for(&self, now: SimTime) -> Option<SimDuration> {
-        if self.ready() {
-            return None;
-        }
-        self.stalled_since.map(|t| now.saturating_since(t))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coplay_clock::SimDuration;
     use coplay_vm::{Button, Player};
 
     fn now() -> SimTime {
@@ -735,23 +732,6 @@ mod tests {
         let obs = b.master_observation().expect("heard the master");
         assert_eq!(obs.master_lagged_frame, 6); // frame 0 + BufFrame
         assert_eq!(obs.rcv_time, t);
-    }
-
-    #[test]
-    fn stall_detection_reports_blockage() {
-        let (mut a, mut b) = pair();
-        warmup_isolated(&mut a, &mut b);
-        let t = SimTime::from_secs(3);
-        a.begin_frame(6, InputWord(1), t);
-        assert!(!a.ready());
-        let later = t + SimDuration::from_millis(500);
-        assert_eq!(a.stalled_for(later), Some(SimDuration::from_millis(500)));
-        // Once the remote input arrives, the stall clears.
-        b.begin_frame(6, InputWord::NONE, t);
-        for (_, m) in b.outgoing(t) {
-            a.on_message(&m, t);
-        }
-        assert_eq!(a.stalled_for(later), None);
     }
 
     #[test]

@@ -29,8 +29,17 @@ echo "==> coplay-lint --check-schema (wire drift vs results/wire_schema.json)"
 # `cargo run -p detlint -- --update-schema` and commit the lockfile.
 cargo run -q -p detlint --release -- --check-schema
 
-echo "==> rollback netcode tests"
-cargo test -q -p coplay-rollback
+echo "==> figure outputs match the committed results/*.txt (deterministic oracle)"
+# The simulator is deterministic, so these binaries print the same bytes on
+# every run; a diff means a change moved the paper's figures. Regenerate the
+# file (and say why in the change) when the move is intended.
+for pair in fig1:figure1_frame_rates_smoothness fig2:figure2_synchrony \
+    lag_ablation:e4_lag_ablation pacing_ablation:e5_pacing_ablation \
+    loss_sweep:e6_loss_sweep multiplayer:e7_multiplayer; do
+  bin=${pair%%:*}
+  cargo run -q --release -p coplay-bench --bin "$bin" 2>/dev/null \
+    | diff -u "results/${pair#*:}.txt" - || { echo "$bin output drifted from results/${pair#*:}.txt"; exit 1; }
+done
 
 echo "==> rollback sweep smoke (writes results/BENCH_rollback.json)"
 cargo run -q --release -p coplay-bench --bin rollback_sweep -- --quick

@@ -14,10 +14,9 @@
 //! * [`games`] — Pong, a fighting game, a co-op shooter, and assembly ROMs.
 //! * [`sync`] — the paper's contribution: `SyncInput` lockstep with local
 //!   lag (Algorithm 2), frame pacing (Algorithms 3–4), sessions, observers,
-//!   latecomers.
-//! * [`rollback`] — the lockstep alternative: predicted-input speculation
-//!   with snapshot/resimulate repair, bounded by a rollback window
-//!   (pick per session via `sync::ConsistencyMode`).
+//!   latecomers — and its alternative, predicted-input speculation with
+//!   snapshot/resimulate repair bounded by a rollback window (pick per
+//!   session via `sync::ConsistencyMode`).
 //! * [`net`] — unreliable-datagram transports and Netem-style impairments.
 //! * [`clock`] — virtual/system time and the measurement time server.
 //! * [`sim`] — the deterministic experiment harness behind the paper's
@@ -67,7 +66,6 @@ pub use coplay_games as games;
 pub use coplay_lobby as lobby;
 pub use coplay_net as net;
 pub use coplay_relay as relay;
-pub use coplay_rollback as rollback;
 pub use coplay_sim as sim;
 pub use coplay_sync as sync;
 pub use coplay_telemetry as telemetry;

@@ -152,8 +152,7 @@ fn replicas_agree_frame_by_frame_under_reordering_and_duplication() {
 fn rollback_site_matches_lockstep_site_over_adversarial_links() {
     use coplay::clock::{Clock, VirtualClock};
     use coplay::net::{PeerId, SimNetwork};
-    use coplay::rollback::RollbackSession;
-    use coplay::sync::{ConsistencyMode, LockstepSession, RandomPresser, Step};
+    use coplay::sync::{ConsistencyMode, LockstepSession, RandomPresser, RollbackSession, Step};
     use coplay::vm::Player;
 
     const FRAMES: u64 = 240;
@@ -187,9 +186,9 @@ fn rollback_site_matches_lockstep_site_over_adversarial_links() {
         let now = clock.now();
         net.borrow_mut().deliver_due(now);
         let _ = a.tick(now).expect("rollback site failed");
-        confirmed.extend(a.take_confirmed());
+        a.drain_confirmed(None, &mut confirmed);
         if let Step::FrameDone { report, .. } = b.tick(now).expect("lockstep site failed") {
-            lockstep.push((report.frame, report.state_hash.unwrap()));
+            b.drain_confirmed(Some(&report), &mut lockstep);
         }
         if confirmed.len() as u64 >= FRAMES && lockstep.len() as u64 >= FRAMES {
             break;

@@ -84,7 +84,7 @@ fn rollback_resimulation_hashes_identically_with_cache_on_and_off() {
         }
 
         // ...then roll both back and resimulate with the corrected inputs,
-        // exactly what RollbackSession::perform_rollback does.
+        // exactly what a speculative Session's repair does.
         fast.load_state(&snap_fast).unwrap();
         slow.load_state(&snap_slow).unwrap();
         assert_eq!(
@@ -435,7 +435,7 @@ fn bitmap_guided_ring_restore_matches_reference_resimulation() {
     for (name, build) in lanes {
         let mut fast = build();
         let mut slow = build().with_interp_mode(InterpMode::Reference);
-        let mut ring = coplay_rollback::SnapshotRing::new(12);
+        let mut ring = coplay_sync::SnapshotRing::new(12);
 
         for frame in 0..60u64 {
             let input = input_for(frame);

@@ -11,7 +11,7 @@ use coplay::lobby::{JoinRefusal, LobbyMessage, SessionEntry, SessionId, MAX_LIST
 use coplay::net::bytes::Bytes;
 use coplay::net::{DetRng, NetemChannel, NetemConfig, PeerId};
 use coplay::relay::{RelayMessage, DEST_BROADCAST, MAX_RELAY_PAYLOAD};
-use coplay::rollback::SnapshotRing;
+use coplay::sync::SnapshotRing;
 use coplay::sync::{InputBuffer, InputMsg, InputSync, Message, SyncConfig, MAX_CHUNK_BYTES};
 use coplay::vm::{
     assemble, Console, DirtyPages, InputWord, Instruction, Machine, PortMap, Reg, Rom, Syscall,
