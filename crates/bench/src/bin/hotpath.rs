@@ -71,19 +71,39 @@ struct GameSummary {
 /// that count — a scheduler preemption landing inside one batch inflates
 /// that batch only, and the minimum discards it.
 fn bench_ns(budget: Duration, mut f: impl FnMut()) -> u64 {
-    f(); // warmup: touch caches, fault in pages
-    let mut iters: u64 = 4;
-    let mut batch = |iters: u64| {
+    min_mean_ns(budget, |iters| {
         let start = Instant::now();
         for _ in 0..iters {
             f();
         }
-        start.elapsed()
-    };
+        let elapsed = start.elapsed();
+        (elapsed, elapsed)
+    })
+}
+
+/// [`bench_ns`] for an op that needs per-iteration setup: each call of
+/// `f` does its setup, times just the op with a scoped [`Instant`], and
+/// returns that time. The op is timed directly rather than derived by
+/// subtracting the setup's own benchmark, so noise in two separate
+/// measurements cannot masquerade as a regression.
+fn bench_scoped_ns(budget: Duration, mut f: impl FnMut() -> Duration) -> u64 {
+    min_mean_ns(budget, |iters| {
+        let start = Instant::now();
+        let timed: Duration = (0..iters).map(|_| f()).sum();
+        (start.elapsed(), timed)
+    })
+}
+
+/// The batching behind [`bench_ns`] and [`bench_scoped_ns`]: `batch(n)`
+/// runs the op `n` times and returns the batch's wall time (which sizes
+/// the batches to `budget`) and the time charged to the op.
+fn min_mean_ns(budget: Duration, mut batch: impl FnMut(u64) -> (Duration, Duration)) -> u64 {
+    batch(1); // warmup: touch caches, fault in pages
+    let mut iters: u64 = 4;
     loop {
-        let elapsed = batch(iters);
+        let (elapsed, timed) = batch(iters);
         if elapsed >= budget {
-            let best = elapsed.min(batch(iters)).min(batch(iters));
+            let best = timed.min(batch(iters).1).min(batch(iters).1);
             return (best.as_nanos() / u128::from(iters)) as u64;
         }
         iters = iters.saturating_mul(2);
@@ -188,7 +208,6 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             let f = m.frame();
             m.step_frame(input_for(f));
         });
-        let resim_ns = ns;
         measurements.push(Measurement {
             key: format!("{name}/resim_frame"),
             ns_per_op: ns,
@@ -253,26 +272,27 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
         // O(dirty) checkpoint capture: step a frame, then capture straight
         // into the ring — the machine's dirty accumulators pick the byte
         // ranges, the old tail bytes become a raw back-patch, and the
-        // machine rewrites only those ranges in the tail. The step itself
-        // is measured above (`resim_frame`), so the difference is the pure
-        // checkpoint cost — the number the dirty tracking exists to
-        // shrink. Hashes are dummies: the ring stores them opaquely and
-        // per-frame hashing is costed elsewhere.
+        // machine rewrites only those ranges in the tail. Only the capture
+        // is timed — the number the dirty tracking exists to shrink.
+        // Hashes are dummies: the ring stores them opaquely and per-frame
+        // hashing is costed elsewhere.
         let mut dirty_ring = SnapshotRing::new(8);
         // Ring frames use their own counter: native games reset their
         // frame counter when a match ends, and the loop below runs long
         // enough to cross several match boundaries.
         let mut ck = 0u64;
         let mut last = dirty_ring.checkpoint_from(ck, 0, &mut m);
-        let ckpt_total_ns = bench_ns(budget, || {
+        let ns = bench_scoped_ns(budget, || {
             let f = m.frame();
             m.step_frame(input_for(f));
             ck += 1;
+            let start = Instant::now();
             last = dirty_ring.checkpoint_from(ck, 0, &mut m);
+            start.elapsed()
         });
         measurements.push(Measurement {
             key: format!("{name}/checkpoint_dirty"),
-            ns_per_op: ckpt_total_ns.saturating_sub(resim_ns),
+            ns_per_op: ns,
             bytes_per_op: last.dirty_bytes as u64,
         });
 
@@ -280,8 +300,7 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
         // drifts one frame off the anchor checkpoint, saves the due
         // checkpoint, then a misprediction rewinds the ring to the anchor
         // and patches only the divergent pages back into the machine.
-        // Each iteration is step + checkpoint + repair; subtracting the
-        // previous bench's step + checkpoint total isolates the repair.
+        // Only the repair (drain, rewind, reload) is timed.
         let mut rring = SnapshotRing::new(8);
         let mut kr = 0u64;
         rring.checkpoint_from(kr, 0, &mut m);
@@ -290,22 +309,24 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             .restore_into(kr, &mut rout)
             .expect("anchor checkpoint restores");
         let mut rdirty = DirtyPages::default();
-        let ns = bench_ns(budget, || {
+        let ns = bench_scoped_ns(budget, || {
             let f = m.frame();
             m.step_frame(input_for(f));
             kr += 1;
             rring.checkpoint_from(kr, 0, &mut m);
+            let start = Instant::now();
             m.collect_dirty_into(&mut rdirty);
             rring
                 .rewind_into(0, &mut rout, &mut rdirty)
                 .expect("anchor checkpoint rewinds");
             m.load_state_dirty(&rout, &rdirty)
                 .expect("checkpoint bytes reload");
+            start.elapsed()
         });
         let restored_bytes: usize = rdirty.byte_ranges().map(|(s, e)| e - s).sum();
         measurements.push(Measurement {
             key: format!("{name}/restore_dirty"),
-            ns_per_op: ns.saturating_sub(ckpt_total_ns),
+            ns_per_op: ns,
             bytes_per_op: restored_bytes as u64,
         });
 

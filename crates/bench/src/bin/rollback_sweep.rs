@@ -54,17 +54,29 @@ fn main() {
     })
     .expect("rollback sweep failed");
 
-    println!("RTT(ms)  lockstep frame(ms)/dev(ms)  rollback frame(ms)/dev(ms)  rollbacks");
+    // Deterministic, so CI diffs it against results/e8_rollback_sweep_quick.txt:
+    // `resim` pins what each repair replays.
+    println!(
+        "RTT(ms)  lockstep frame(ms)/dev(ms)  rollback frame(ms)/dev(ms)  rollbacks  resim  converged"
+    );
     for (ls, rb) in lockstep.iter().zip(&rollback) {
         let rolls: u64 = rb.result.session_stats.iter().map(|s| s.rollbacks).sum();
+        let resim: u64 = rb
+            .result
+            .session_stats
+            .iter()
+            .map(|s| s.resimulated_frames)
+            .sum();
         println!(
-            "{:7}  {:12.2} / {:6.2}      {:12.2} / {:6.2}      {:9}",
+            "{:7}  {:12.2} / {:6.2}      {:12.2} / {:6.2}      {:9}  {:5}  {:>9}",
             ls.rtt.as_millis(),
             ls.result.master_frame_time_ms(),
             ls.result.worst_deviation_ms(),
             rb.result.master_frame_time_ms(),
             rb.result.worst_deviation_ms(),
             rolls,
+            resim,
+            ls.result.converged && rb.result.converged,
         );
     }
 

@@ -9,10 +9,12 @@ use coplay_vm::PortMap;
 /// [`Lockstep`](ConsistencyMode::Lockstep) is the paper's Algorithm 2: a
 /// frame executes only once every site's partial input for it has arrived,
 /// so RTT spikes become input-wait stalls. `Rollback` speculatively
-/// executes frames with *predicted* remote inputs and repairs
-/// mispredictions by restoring a state checkpoint and resimulating — the
-/// session only blocks once speculation would run more than
-/// `max_rollback_frames` ahead of the confirmed input frontier.
+/// executes frames with *predicted* remote inputs, checkpoints the state
+/// before every frame it executes, and repairs a misprediction by
+/// restoring the checkpoint before the mispredicted frame and
+/// resimulating from there — the session only blocks once speculation
+/// would run more than `max_rollback_frames` ahead of the confirmed input
+/// frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsistencyMode {
     /// Block until every remote partial input has arrived (Algorithm 2).
@@ -22,20 +24,15 @@ pub enum ConsistencyMode {
         /// Maximum frames of speculation past the confirmed-input frontier
         /// before the session degrades to lockstep-style blocking.
         max_rollback_frames: u64,
-        /// Take a state checkpoint every this many frames (1 = every
-        /// frame). Smaller intervals cost more snapshot bytes but shorten
-        /// resimulation after a misprediction.
-        checkpoint_interval: u64,
     },
 }
 
 impl ConsistencyMode {
     /// The default rollback tuning: a 30-frame (500 ms at 60 FPS)
-    /// speculation window with a checkpoint every 5 frames.
+    /// speculation window.
     pub fn rollback() -> ConsistencyMode {
         ConsistencyMode::Rollback {
             max_rollback_frames: 30,
-            checkpoint_interval: 5,
         }
     }
 
@@ -255,16 +252,12 @@ mod tests {
         assert_eq!(cfg.consistency, ConsistencyMode::Lockstep);
         assert!(!cfg.consistency.is_rollback());
         assert!(ConsistencyMode::rollback().is_rollback());
-        match ConsistencyMode::rollback() {
+        assert_eq!(
+            ConsistencyMode::rollback(),
             ConsistencyMode::Rollback {
-                max_rollback_frames,
-                checkpoint_interval,
-            } => {
-                assert_eq!(max_rollback_frames, 30);
-                assert_eq!(checkpoint_interval, 5);
+                max_rollback_frames: 30
             }
-            ConsistencyMode::Lockstep => unreachable!(),
-        }
+        );
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   nothing is ever predicted, checkpointed or rolled back.
 //! * [`Speculative`] — rollback netcode. A frame whose remote inputs are
 //!   missing executes anyway under predicted inputs (an
-//!   [`InputPredictor`]), a [`SnapshotRing`] keeps periodic checkpoints,
-//!   and a later authoritative input that contradicts a prediction
-//!   triggers a checkpoint restore plus resimulation. Execution blocks only
+//!   [`InputPredictor`]), a [`SnapshotRing`] keeps a checkpoint before
+//!   every executed frame, and a later authoritative input that
+//!   contradicts a prediction restores the checkpoint before the
+//!   mispredicted frame and resimulates from it. Execution blocks only
 //!   `max_rollback_frames` past the confirmed-input frontier, so RTT spikes
 //!   shallower than the window never freeze the frame loop.
 //!
@@ -75,12 +76,12 @@ impl<P: InputPredictor> Consistency for Speculative<P> {
 
 /// The rollback policy: execute on predicted input, repair on contradiction.
 ///
-/// The window and checkpoint cadence come from
-/// [`SyncConfig::consistency`].
+/// The window comes from [`SyncConfig::consistency`]. The state before
+/// every executed frame is checkpointed, so a repair restores the
+/// mispredicted frame itself and replays only what was mispredicted.
 #[derive(Debug)]
 pub struct Speculative<P = RepeatLast> {
     pub(crate) max_rollback_frames: u64,
-    checkpoint_interval: u64,
     predictor: P,
     pub(crate) ring: SnapshotRing,
     /// Reusable dirty bitmap for rollback: drained from the machine and
@@ -101,6 +102,11 @@ pub struct Speculative<P = RepeatLast> {
     /// First mispredicted frame discovered while draining the transport;
     /// repaired by the next rewind.
     pending_rollback: Option<u64>,
+    /// `(frame, hash)` of the live state before `frame`: the hash `step`
+    /// took after `frame - 1`, which the checkpoint before `frame` reuses
+    /// instead of hashing the state again. A rewind needs no such pair:
+    /// the checkpoint it restores stays in the ring.
+    known_hash: Option<(u64, u64)>,
     /// Next frame eligible for confirmation: frames below were already
     /// drained and must not be re-reported when a rollback resimulates
     /// through them.
@@ -113,20 +119,14 @@ impl<P: InputPredictor> Speculative<P> {
     pub(crate) fn new(mode: ConsistencyMode, predictor: P) -> Self {
         let ConsistencyMode::Rollback {
             max_rollback_frames,
-            checkpoint_interval,
         } = mode
         else {
             return Speculative::new(ConsistencyMode::rollback(), predictor);
         };
-        let checkpoint_interval = checkpoint_interval.max(1);
         Speculative {
             max_rollback_frames,
-            checkpoint_interval,
             predictor,
-            ring: SnapshotRing::new(SnapshotRing::capacity_for(
-                max_rollback_frames,
-                checkpoint_interval,
-            )),
+            ring: SnapshotRing::new(SnapshotRing::capacity_for(max_rollback_frames, 1)),
             rollback_dirty: DirtyPages::default(),
             // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
             restore_buf: Vec::new(),
@@ -137,11 +137,14 @@ impl<P: InputPredictor> Speculative<P> {
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
             recent_hashes: BTreeMap::new(),
             pending_rollback: None,
+            known_hash: None,
             confirm_next: 0,
         }
     }
 
-    /// Saves a checkpoint before `frame` and publishes what it cost.
+    /// Saves a checkpoint before `frame` and publishes what it cost. The
+    /// state is hashed only when no known hash covers it: before frame 0,
+    /// after a snapshot join, or when frames are not hashed.
     fn checkpoint<M: Machine>(
         &mut self,
         frame: u64,
@@ -149,9 +152,18 @@ impl<P: InputPredictor> Speculative<P> {
         cfg: &SyncConfig,
         now: SimTime,
     ) {
-        let report = self
-            .ring
-            .checkpoint_from(frame, machine.state_hash(), machine);
+        let hash = match self.known_hash.take() {
+            Some((known, hash)) if known == frame => {
+                debug_assert_eq!(
+                    hash,
+                    machine.state_hash(),
+                    "stale hash before frame {frame}"
+                );
+                hash
+            }
+            _ => machine.state_hash(),
+        };
+        let report = self.ring.checkpoint_from(frame, hash, machine);
         let telemetry = &cfg.telemetry;
         telemetry.record(
             now,
@@ -198,10 +210,10 @@ impl<P: InputPredictor> Speculative<P> {
         }
     }
 
-    /// Checkpoints when the cadence (or an empty ring) calls for one, then
-    /// returns `frame`'s input: authoritative partials where the frontier
-    /// covers them, predictions elsewhere. `live` is `false` while a repair
-    /// resimulates the frame.
+    /// Checkpoints the state before `frame` unless the ring already holds
+    /// it (the first frame a repair replays), then returns `frame`'s input:
+    /// authoritative partials where the frontier covers them, predictions
+    /// elsewhere. `live` is `false` while a repair resimulates the frame.
     pub(crate) fn prepare<M: Machine>(
         &mut self,
         frame: u64,
@@ -211,8 +223,7 @@ impl<P: InputPredictor> Speculative<P> {
         now: SimTime,
         live: bool,
     ) -> InputWord {
-        let due = frame.is_multiple_of(self.checkpoint_interval) || self.ring.is_empty();
-        if due && self.ring.newest_frame().is_none_or(|n| n < frame) {
+        if self.ring.newest_frame().is_none_or(|n| n < frame) {
             self.checkpoint(frame, machine, cfg, now);
         }
         let mut word = sync.merged_input(frame);
@@ -239,8 +250,10 @@ impl<P: InputPredictor> Speculative<P> {
         word
     }
 
-    /// Keeps the state hash after `frame` until the frontier confirms it.
+    /// Keeps the state hash after `frame` until the frontier confirms it,
+    /// and for the checkpoint before `frame + 1`.
     pub(crate) fn note_hash(&mut self, frame: u64, hash: u64) {
+        self.known_hash = Some((frame + 1, hash));
         self.recent_hashes.insert(frame, hash);
         while self.recent_hashes.len() > MAX_RETAINED_HASHES {
             self.recent_hashes.pop_first();
@@ -289,9 +302,10 @@ impl<P: InputPredictor> Speculative<P> {
         }
     }
 
-    /// Restores the checkpoint at or before the queued mispredicted frame,
-    /// if any, and returns that frame with the checkpoint's; the session
-    /// resimulates from the checkpoint up to `pointer`.
+    /// Restores the checkpoint before the queued mispredicted frame, if
+    /// any, and returns the frame it precedes: the mispredicted frame
+    /// itself, since every executed frame has a checkpoint. The session
+    /// resimulates from it up to `pointer`.
     ///
     /// One O(dirty) pass: discard the checkpoints computed from the
     /// mispredicted state (they must not serve as restore points again),
@@ -305,7 +319,7 @@ impl<P: InputPredictor> Speculative<P> {
         machine: &mut M,
         cfg: &SyncConfig,
         now: SimTime,
-    ) -> Result<Option<(u64, u64)>, SyncError> {
+    ) -> Result<Option<u64>, SyncError> {
         let Some(target) = self.pending_rollback.take() else {
             return Ok(None);
         };
@@ -334,12 +348,14 @@ impl<P: InputPredictor> Speculative<P> {
         }
         cfg.telemetry
             .span(now, SpanStage::CheckpointRestored, info.frame, cfg.my_site);
-        Ok(Some((target, info.frame)))
+        Ok(Some(info.frame))
     }
 
     /// Rebuilds into `out` the newest checkpoint at or below the confirmed
     /// frontier + 1, and never above a queued repair: every input before it
-    /// is authoritative and was executed as such. Returns its frame, or
+    /// is authoritative and was executed as such. Every executed frame has
+    /// a checkpoint, so once the site has executed frontier + 1 that is
+    /// the frame served. Returns its frame, or
     /// `None` before the first checkpoint, while the live state is still
     /// authoritative. `capacity_for` keeps such a checkpoint in the ring.
     pub(crate) fn restore_confirmed(

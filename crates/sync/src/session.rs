@@ -48,7 +48,8 @@ use crate::wire::{Message, MAX_CHUNK_BYTES};
 
 /// Retransmission margin applied when a latecomer is registered, covering
 /// pointer divergence between players at join time and, on a speculative
-/// site, the distance between its pointer and the checkpoint it serves.
+/// site, the distance between its pointer and the checkpoint it serves
+/// (at most the speculation window + 1, 31 frames by default).
 /// Must stay below the input-history retention window
 /// ([`RETAIN_FRAMES`](crate::sync_input::RETAIN_FRAMES)).
 pub const JOIN_MARGIN_FRAMES: u64 = 64;
@@ -207,7 +208,7 @@ impl<M: Machine, T: Transport, S: InputSource> Session<M, T, S, Lockstep> {
 
 impl<M: Machine, T: Transport, S: InputSource> Session<M, T, S, Speculative<RepeatLast>> {
     /// Creates a speculative site with the repeat-last predictor. The
-    /// window and checkpoint cadence come from [`SyncConfig::consistency`]
+    /// window comes from [`SyncConfig::consistency`]
     /// (defaults applied when it is `Lockstep`). `machine` must be in its
     /// initial state, as for a lockstep site.
     pub fn new(cfg: SyncConfig, machine: M, transport: T, source: S) -> Self {
@@ -289,9 +290,10 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         self
     }
 
-    /// Disables per-frame state hashing (saves time in throughput benches;
-    /// a speculative site still hashes its checkpoints). Nothing is
-    /// confirmed in this mode.
+    /// Disables per-frame state hashing (saves time in throughput benches).
+    /// Nothing is confirmed in this mode. A speculative site saves nothing:
+    /// its checkpoint before each frame then hashes the state itself, so it
+    /// still pays one hash per executed frame.
     pub fn without_frame_hashes(mut self) -> Self {
         self.hash_frames = false;
         self
@@ -620,7 +622,8 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
     }
 
     /// Executes `frame` and hashes the result once: the report, the
-    /// confirmed hashes and a repair all reuse that hash. `mode` is
+    /// confirmed hashes, a repair and the checkpoint before the next frame
+    /// all reuse that hash. `mode` is
     /// `Headless` for repair frames whose output will never be presented.
     fn step(
         &mut self,
@@ -649,14 +652,13 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         let Some(spec) = self.policy.speculative() else {
             return Ok(());
         };
-        let Some((target, cp_frame)) = spec.rewind(pointer, &mut self.machine, &self.cfg, now)?
-        else {
+        let Some(target) = spec.rewind(pointer, &mut self.machine, &self.cfg, now)? else {
             return Ok(());
         };
         // Only the last repaired frame is ever presented: everything before
         // it steps headless, skipping draw/audio work nobody will see while
         // advancing authoritative state byte-identically.
-        for g in cp_frame..pointer {
+        for g in target..pointer {
             let mode = if g + 1 == pointer {
                 StepMode::Present
             } else {
@@ -667,20 +669,21 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                 .telemetry
                 .span(now, SpanStage::Resimulated, g, self.cfg.my_site);
         }
+        // Every frame from the mispredicted one on is replayed: the
+        // rollback's depth is what it resimulates.
         let depth = pointer - target;
-        let resimulated = pointer - cp_frame;
-        if resimulated > 1 {
+        if depth > 1 {
             self.cfg
                 .telemetry
-                .counter_add("headless_resim_frames_total", resimulated - 1);
+                .counter_add("headless_resim_frames_total", depth - 1);
         }
-        self.stats.note_rollback(depth, resimulated);
+        self.stats.note_rollback(depth, depth);
         self.cfg.telemetry.record(
             now,
             EventKind::RollbackExecuted {
                 to_frame: target,
                 depth,
-                resimulated,
+                resimulated: depth,
             },
         );
         Ok(())
@@ -910,8 +913,11 @@ mod tests {
     use crate::config::ConsistencyMode;
     use crate::input_source::{Idle, RandomPresser};
     use crate::wire::InputMsg;
-    use coplay_net::{loopback, LoopbackTransport};
-    use coplay_vm::{NullMachine, Player};
+    use coplay_clock::VirtualClock;
+    use coplay_net::{loopback, LoopbackTransport, NetemConfig, SimNetwork};
+    use coplay_telemetry::Telemetry;
+    use coplay_vm::{FrameBuffer, MachineInfo, NullMachine, Player, StateError};
+    use std::cell::Cell;
 
     type Sess<C, S = RandomPresser> = Session<NullMachine, LoopbackTransport, S, C>;
     type New<C, S> = fn(SyncConfig, NullMachine, LoopbackTransport, S) -> Sess<C, S>;
@@ -955,12 +961,23 @@ mod tests {
         sites: &mut [Sess<C, S>; 2],
         frames: u64,
     ) -> [Vec<(u64, u64)>; 2] {
+        run_pair_with(sites, frames, |_| {})
+    }
+
+    /// [`run_pair`] over any machine and transport; `deliver(now)` runs
+    /// before each round of ticks.
+    fn run_pair_with<M: Machine, T: Transport, S: InputSource, C: Consistency>(
+        sites: &mut [Session<M, T, S, C>; 2],
+        frames: u64,
+        mut deliver: impl FnMut(SimTime),
+    ) -> [Vec<(u64, u64)>; 2] {
         let mut now = SimTime::ZERO;
         let mut confirmed = [Vec::new(), Vec::new()];
         let mut guard = 0;
         while sites.iter().any(|s| s.stats().frames < frames) {
             guard += 1;
             assert!(guard < 1_000_000, "no progress after 1M ticks");
+            deliver(now);
             let mut next = now + SimDuration::from_millis(1);
             for (sess, out) in sites.iter_mut().zip(&mut confirmed) {
                 let mut executed = None;
@@ -1120,11 +1137,14 @@ mod tests {
     fn only_speculation_checkpoints() {
         let mut sites = rollback_pair();
         let _ = run_pair(&mut sites, 60);
-        // Cadence 5 over 60 frames: the ring (capacity 8) holds the newest
-        // eight of frames {0, 5, 10, ...}.
+        // A checkpoint before every executed frame: the ring (capacity
+        // window + 2) holds the newest 32 frames, contiguous up to the last
+        // one executed.
         let ring = &sites[0].policy.ring;
-        assert_eq!(ring.len(), 8);
-        assert_eq!(ring.newest_frame().unwrap() % 5, 0);
+        let newest = sites[0].sync().pointer() - 1;
+        assert_eq!(ring.len(), 30 + 2);
+        assert_eq!(ring.newest_frame(), Some(newest));
+        assert_eq!(ring.oldest_frame(), Some(newest - 31));
         assert!(sites[0].checkpoint_bytes() > 0);
         // Lockstep has no state to keep, and a clean link predicts nothing.
         assert_eq!(std::mem::size_of::<Lockstep>(), 0);
@@ -1137,15 +1157,17 @@ mod tests {
         );
     }
 
-    /// A snapshot request that arrives in the same drain as an input
-    /// contradicting a prediction must not be served a checkpoint captured
-    /// from the mispredicted timeline: the rollback it queued has not run
-    /// yet when the request is handled.
-    #[test]
-    fn latecomer_is_served_authoritative_state_despite_a_pending_rollback() {
+    /// A speculative site 0 whose site 1, played by hand over the returned
+    /// endpoint, stayed silent until site 0 speculated to its window edge:
+    /// frame 36, 30 frames past frame 5, on a predicted idle site 1.
+    fn speculating_to_the_window_edge(
+        telemetry: Telemetry,
+    ) -> (Sess<Speculative>, LoopbackTransport) {
         let (ta, mut tb) = loopback(PeerId(0), PeerId(1));
-        let cfg0 = cfg(0, ConsistencyMode::rollback());
-        let site1_mask = cfg0.port_map.partial_input(1, InputWord(u32::MAX));
+        let cfg0 = SyncConfig {
+            telemetry,
+            ..cfg(0, ConsistencyMode::rollback())
+        };
         let mut a = RollbackSession::new(
             cfg0,
             NullMachine::new(),
@@ -1153,30 +1175,166 @@ mod tests {
             RandomPresser::new(Player::ONE, 5),
         );
         join_as_site_1(&mut a, &mut tb);
-        // Site 1 stays silent: a speculates to the window edge on a
-        // predicted idle site 1.
-        let now = SimTime::from_secs(4);
         for ms in (0..4_000).step_by(20) {
             let _ = a.tick(SimTime::from_millis(ms)).unwrap();
         }
         assert_eq!(a.sync().pointer(), 36, "speculated 30 frames past frame 5");
-        let mut send = |msg: Message| tb.send(PeerId(0), &msg.encode()).unwrap();
-        let input = |first, inputs| {
-            Message::Input(InputMsg {
-                from: 1,
-                ack: 0,
-                first,
-                inputs,
+        (a, tb)
+    }
+
+    /// Sends site 1's inputs for frames `first..` over its hand-played
+    /// endpoint.
+    fn send_site_1_inputs(tb: &mut LoopbackTransport, first: u64, inputs: Vec<InputWord>) {
+        let msg = Message::Input(InputMsg {
+            from: 1,
+            ack: 0,
+            first,
+            inputs,
+        });
+        tb.send(PeerId(0), &msg.encode()).unwrap();
+    }
+
+    /// Every button site 1 owns, pressed: never the idle prediction.
+    fn site_1_pressing() -> InputWord {
+        SyncConfig::two_player(0)
+            .port_map
+            .partial_input(1, InputWord(u32::MAX))
+    }
+
+    /// A checkpoint precedes every executed frame, so a repair restores the
+    /// mispredicted frame itself: the frames before it were predicted right
+    /// and are not replayed.
+    #[test]
+    fn repair_replays_from_the_mispredicted_frame() {
+        let (mut a, mut tb) = speculating_to_the_window_edge(Telemetry::tracing(0, 0));
+        let (g, p) = (13, a.sync().pointer());
+        // Frames 6..13 are idle, as predicted; frame 13 is not.
+        let mut inputs = vec![InputWord::NONE; (g - 6) as usize];
+        inputs.push(site_1_pressing());
+        send_site_1_inputs(&mut tb, 6, inputs);
+        let _ = a.tick(SimTime::from_secs(4)).unwrap();
+        let st = a.stats();
+        assert_eq!(st.rollbacks, 1);
+        assert_eq!(st.resimulated_frames, p - g, "replays frames g..p only");
+        let restored: Vec<u64> = a
+            .config()
+            .telemetry
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Span {
+                    stage: SpanStage::CheckpointRestored,
+                    frame,
+                    ..
+                } => Some(frame),
+                _ => None,
             })
-        };
+            .collect();
+        assert_eq!(restored, [g], "restores the mispredicted frame itself");
+    }
+
+    /// A [`NullMachine`] that counts its `state_hash` calls.
+    #[derive(Default)]
+    struct HashCounting {
+        inner: NullMachine,
+        hashes: Cell<u64>,
+    }
+
+    impl Machine for HashCounting {
+        fn info(&self) -> MachineInfo {
+            self.inner.info()
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+        fn step_frame(&mut self, input: InputWord) {
+            self.inner.step_frame(input);
+        }
+        fn frame(&self) -> u64 {
+            self.inner.frame()
+        }
+        fn framebuffer(&self) -> &FrameBuffer {
+            self.inner.framebuffer()
+        }
+        fn state_hash(&self) -> u64 {
+            self.hashes.set(self.hashes.get() + 1);
+            self.inner.state_hash()
+        }
+        fn save_state(&self) -> Vec<u8> {
+            self.inner.save_state()
+        }
+        fn save_state_into(&self, out: &mut Vec<u8>) {
+            self.inner.save_state_into(out);
+        }
+        fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+            self.inner.load_state(bytes)
+        }
+    }
+
+    /// The hash budget of a speculative site. The checkpoint before a
+    /// frame reuses the hash taken after the frame before it, so only the
+    /// ROM identity, the checkpoint before frame 0, every stepped frame and
+    /// every restore verification hash the state. A debug build's re-check
+    /// of each reused hash calls `state_hash` just where a re-hash would,
+    /// so only a release build tells the two apart.
+    #[test]
+    fn checkpoints_reuse_the_step_hash() {
+        let clock = VirtualClock::new();
+        let net = SimNetwork::shared(clock.clone());
+        let link = NetemConfig::with_rtt(SimDuration::from_millis(200))
+            .jitter(SimDuration::from_millis(20))
+            // detlint: allow(float) -- the test link's loss rate, not game state
+            .loss(0.05);
+        SimNetwork::link_pair(&net, PeerId(0), PeerId(1), link, 7);
+        let mut sites = [(0, Player::ONE), (1, Player::TWO)].map(|(site, player)| {
+            RollbackSession::new(
+                cfg(site, ConsistencyMode::rollback()),
+                HashCounting::default(),
+                SimNetwork::socket(&net, PeerId(site)),
+                RandomPresser::new(player, u64::from(site) + 1),
+            )
+        });
+        let [ca, cb] = run_pair_with(&mut sites, 300, |now| {
+            clock.set(now);
+            net.borrow_mut().deliver_due(now);
+        });
+        let common = ca.len().min(cb.len());
+        assert!(common >= 200);
+        assert_eq!(ca[..common], cb[..common], "replicas diverged");
+        for s in &sites {
+            let st = s.stats();
+            assert!(st.rollbacks > 0, "a lossy 200 ms link must mispredict");
+            let budget = 1 + 1 + st.frames + st.resimulated_frames + st.rollbacks;
+            // A debug build re-checks every reused hash against a fresh
+            // one: every checkpoint but frame 0's, and a checkpoint
+            // precedes each stepped frame but the first one a repair
+            // replays.
+            let rechecks = if cfg!(debug_assertions) {
+                st.frames + st.resimulated_frames - st.rollbacks - 1
+            } else {
+                0
+            };
+            assert_eq!(s.machine().hashes.get(), budget + rechecks);
+        }
+    }
+
+    /// A snapshot request that arrives in the same drain as an input
+    /// contradicting a prediction must not be served a checkpoint captured
+    /// from the mispredicted timeline: the rollback it queued has not run
+    /// yet when the request is handled.
+    #[test]
+    fn latecomer_is_served_authoritative_state_despite_a_pending_rollback() {
+        let (mut a, mut tb) = speculating_to_the_window_edge(Telemetry::disabled());
+        let now = SimTime::from_secs(4);
         // Frames 6..=12: idle, as predicted — no repair.
-        send(input(6, vec![InputWord::NONE; 7]));
+        send_site_1_inputs(&mut tb, 6, vec![InputWord::NONE; 7]);
         let _ = a.tick(now).unwrap();
         assert_eq!(a.stats().rollbacks, 0);
         // Frames 13..=25 contradict the prediction; the snapshot request
         // lands in the same drain.
-        send(input(13, vec![site1_mask; 13]));
-        send(Message::SnapshotRequest);
+        send_site_1_inputs(&mut tb, 13, vec![site_1_pressing(); 13]);
+        tb.send(PeerId(0), &Message::SnapshotRequest.encode())
+            .unwrap();
         let _ = a.tick(now).unwrap();
         assert_eq!(a.stats().rollbacks, 1, "the contradiction was repaired");
 
@@ -1195,10 +1353,11 @@ mod tests {
                 served = Some(frame);
             }
         }
+        // Every executed frame has a checkpoint, so the cap itself is served.
         let served = served.expect("snapshot served");
-        assert!(
-            (1..=13).contains(&served),
-            "served frame {served} must not pass the mispredicted frame 13"
+        assert_eq!(
+            served, 13,
+            "served frame {served} must be the mispredicted frame 13"
         );
         let mut replay = NullMachine::new();
         for f in 0..served {

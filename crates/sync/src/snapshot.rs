@@ -1,10 +1,12 @@
 //! A bounded ring of state checkpoints for rollback.
 //!
-//! The session saves a checkpoint every `checkpoint_interval` frames; on a
-//! misprediction it restores the most recent checkpoint at or before the
-//! mispredicted frame and resimulates forward. The ring's capacity is sized
-//! so that a checkpoint always exists inside the speculation window (see
-//! [`SnapshotRing::capacity_for`]).
+//! The session saves a checkpoint before every frame it executes; on a
+//! misprediction it restores the checkpoint before the mispredicted frame
+//! and resimulates forward from there, so frames that were predicted right
+//! before it are never replayed. The ring's capacity is sized so that the
+//! whole speculation window stays checkpointed (see
+//! [`SnapshotRing::capacity_for`]): one full image plus `window + 1`
+//! dirty back-patches.
 //!
 //! # Storage: one full tail + chained back-deltas
 //!
@@ -234,6 +236,7 @@ impl SnapshotRing {
     /// `max_rollback_frames`, with checkpoints every `checkpoint_interval`
     /// frames: the window spans at most `window / interval` checkpoints,
     /// plus one for the partially-covered oldest edge and one in flight.
+    /// The session checkpoints every frame (interval 1): `window + 2`.
     pub fn capacity_for(max_rollback_frames: u64, checkpoint_interval: u64) -> usize {
         let interval = checkpoint_interval.max(1);
         (max_rollback_frames / interval) as usize + 2
@@ -609,12 +612,12 @@ impl SnapshotRing {
 
 impl Default for SnapshotRing {
     /// A ring sized for the default session envelope (30-frame speculation
-    /// window, checkpoint every 5 frames) via
-    /// [`SnapshotRing::capacity_for`] — the same invariant the session
-    /// constructor applies, so a `Default` ring can actually cover a
-    /// rollback window instead of thrashing a single slot.
+    /// window, checkpoint every frame) via [`SnapshotRing::capacity_for`] —
+    /// the same invariant the session constructor applies, so a `Default`
+    /// ring can actually cover a rollback window instead of thrashing a
+    /// single slot.
     fn default() -> SnapshotRing {
-        SnapshotRing::new(SnapshotRing::capacity_for(30, 5))
+        SnapshotRing::new(SnapshotRing::capacity_for(30, 1))
     }
 }
 
@@ -876,8 +879,8 @@ mod tests {
         // Satellite fix: `Default` used to build a one-slot ring that
         // thrashed on every push; it now routes through `capacity_for`.
         let r = SnapshotRing::default();
-        assert_eq!(r.capacity, SnapshotRing::capacity_for(30, 5));
-        assert_eq!(r.capacity, 8);
+        assert_eq!(r.capacity, SnapshotRing::capacity_for(30, 1));
+        assert_eq!(r.capacity, 32);
     }
 
     #[test]

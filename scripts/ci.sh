@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> checkpoint hash budget, release build"
+# A debug build re-checks every reused checkpoint hash with a fresh
+# state_hash, exactly where a re-hash would call it; only a release build
+# can tell that a checkpoint hashes the state again.
+cargo test -q --release -p coplay-sync --lib checkpoints_reuse_the_step_hash
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -32,17 +38,22 @@ cargo run -q -p detlint --release -- --check-schema
 echo "==> figure outputs match the committed results/*.txt (deterministic oracle)"
 # The simulator is deterministic, so these binaries print the same bytes on
 # every run; a diff means a change moved the paper's figures. Regenerate the
-# file (and say why in the change) when the move is intended.
-for pair in fig1:figure1_frame_rates_smoothness fig2:figure2_synchrony \
-    lag_ablation:e4_lag_ablation pacing_ablation:e5_pacing_ablation \
-    loss_sweep:e6_loss_sweep multiplayer:e7_multiplayer; do
-  bin=${pair%%:*}
-  cargo run -q --release -p coplay-bench --bin "$bin" 2>/dev/null \
-    | diff -u "results/${pair#*:}.txt" - || { echo "$bin output drifted from results/${pair#*:}.txt"; exit 1; }
-done
-
-echo "==> rollback sweep smoke (writes results/BENCH_rollback.json)"
-cargo run -q --release -p coplay-bench --bin rollback_sweep -- --quick
+# file (and say why in the change) when the move is intended. The rollback
+# sweep's `resim` column pins how many frames each repair replays (it also
+# writes results/BENCH_rollback.json).
+while read -r file bin args; do
+  # shellcheck disable=SC2086 # $args is a word list
+  cargo run -q --release -p coplay-bench --bin "$bin" -- $args 2>/dev/null \
+    | diff -u "results/$file.txt" - || { echo "$bin output drifted from results/$file.txt"; exit 1; }
+done <<'FIGURES'
+figure1_frame_rates_smoothness fig1
+figure2_synchrony fig2
+e4_lag_ablation lag_ablation
+e5_pacing_ablation pacing_ablation
+e6_loss_sweep loss_sweep
+e7_multiplayer multiplayer
+e8_rollback_sweep_quick rollback_sweep --quick
+FIGURES
 
 echo "==> hot-path smoke + perf-regression guard (2x vs checked-in baseline)"
 cargo run -q --release -p coplay-bench --bin hotpath -- --quick --check results/hotpath_baseline.json
