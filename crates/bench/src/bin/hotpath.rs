@@ -507,6 +507,9 @@ fn measure_interp(budget: Duration) -> Vec<Measurement> {
     out
 }
 
+/// The input codec both ways. The message carries random full-width
+/// words, the codec's worst case (no runs, every byte present); decode
+/// runs on every received datagram.
 fn measure_wire(budget: Duration) -> Vec<Measurement> {
     let msg = Message::Input(InputMsg {
         from: 1,
@@ -514,7 +517,8 @@ fn measure_wire(budget: Duration) -> Vec<Measurement> {
         first: 42,
         inputs: (0..8).map(input_for).collect(),
     });
-    let bytes = msg.encode().len() as u64;
+    let encoded = msg.encode();
+    let bytes = encoded.len() as u64;
     let mut out = Vec::new();
 
     let ns_alloc = bench_ns(budget, || {
@@ -523,6 +527,9 @@ fn measure_wire(budget: Duration) -> Vec<Measurement> {
     let ns_reuse = bench_ns(budget, || {
         msg.encode_into(&mut out);
         std::hint::black_box(out.len());
+    });
+    let ns_decode = bench_ns(budget, || {
+        std::hint::black_box(Message::decode(std::hint::black_box(&encoded)).is_ok());
     });
     vec![
         Measurement {
@@ -533,6 +540,11 @@ fn measure_wire(budget: Duration) -> Vec<Measurement> {
         Measurement {
             key: "wire/encode_into".to_string(),
             ns_per_op: ns_reuse,
+            bytes_per_op: bytes,
+        },
+        Measurement {
+            key: "wire/decode".to_string(),
+            ns_per_op: ns_decode,
             bytes_per_op: bytes,
         },
     ]

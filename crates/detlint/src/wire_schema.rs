@@ -10,7 +10,8 @@
 //! * the `mod ty { const NAME: u8 = N; }` table gives message names/tags,
 //! * each decode arm (`ty::NAME => …`) and encode arm (anchored at
 //!   `put_u8(ty::NAME)`) is reduced to its sequence of primitive wire ops —
-//!   `u8`/`u16`/`u32`/`u64` for the fixed-width getters/putters, `bytes`
+//!   `u8`/`u16`/`u32`/`u64` for the fixed-width getters/putters, `varint`
+//!   for a LEB128 varint, `sparse32` for a presence-masked `u32`, `bytes`
 //!   for a length-prefixed payload (`put_slice` ↔ `try_take`/`advance`),
 //!   with `for`-loop bodies folded into `rep[…]` groups and helper
 //!   functions (e.g. the lobby's `get_name`) spliced in at call sites,
@@ -101,6 +102,8 @@ fn op_for(ident: &str) -> Option<&'static str> {
         "get_u16_le" | "put_u16_le" => "u16",
         "get_u32_le" | "put_u32_le" => "u32",
         "get_u64_le" | "put_u64_le" => "u64",
+        "get_varint" | "put_varint" => "varint",
+        "get_sparse_u32" | "put_sparse_u32" => "sparse32",
         "put_slice" | "try_take" | "advance" => "bytes",
         _ => return None,
     })
@@ -607,6 +610,70 @@ impl Msg {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, WIRE_ASYMMETRY);
         assert!(diags[0].message.contains("PING"));
+    }
+
+    /// A run-length message in the shape of the sync input codec.
+    const RUNS: &str = r#"
+const VERSION: u8 = 1;
+mod ty {
+    pub const INPUT: u8 = 1;
+}
+impl Msg {
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
+        match self {
+            Msg::Input(m) => {
+                b.put_u8(ty::INPUT);
+                b.put_varint(m.first);
+                b.put_varint(m.runs.len() as u64);
+                for (len, word) in &m.runs {
+                    b.put_varint(*len);
+                    b.put_sparse_u32(*word);
+                }
+            }
+        }
+    }
+    pub fn decode(data: &[u8]) -> Result<Msg, E> {
+        let mut b = data;
+        Ok(match b.get_u8() {
+            ty::INPUT => {
+                let first = b.get_varint()?;
+                let runs = b.get_varint()?;
+                let mut out = Vec::new();
+                for _ in 0..runs {
+                    let len = b.get_varint()?;
+                    out.push((len, b.get_sparse_u32()?));
+                }
+                Msg::Input(Input { first, runs: out })
+            }
+            other => return Err(E(other)),
+        })
+    }
+}
+"#;
+
+    #[test]
+    fn compact_ops_fold_into_matching_run_groups() {
+        let (schema, diags) = extract_codec("runs", "runs.rs", RUNS);
+        assert!(diags.is_empty(), "{diags:?}");
+        let input = &schema.expect("schema").messages[0];
+        assert_eq!(input.encode_ops, "varint,varint,rep[varint,sparse32]");
+        assert_eq!(input.decode_ops, input.encode_ops);
+
+        // A fixed-width read or write on one side of a compact field is
+        // the drift the lint exists to catch.
+        for broken in [
+            RUNS.replace("b.get_sparse_u32()?", "b.get_u32_le()"),
+            RUNS.replace("b.put_varint(*len);", "b.put_u16_le(*len as u16);"),
+            RUNS.replace(
+                "let first = b.get_varint()?;",
+                "let first = b.get_u64_le();",
+            ),
+        ] {
+            let (_, diags) = extract_codec("runs", "runs.rs", &broken);
+            assert_eq!(diags.len(), 1, "{broken}");
+            assert_eq!(diags[0].rule, WIRE_ASYMMETRY);
+            assert!(diags[0].message.contains("INPUT"), "{}", diags[0].message);
+        }
     }
 
     #[test]

@@ -2,15 +2,32 @@
 //!
 //! A small subset of the familiar `bytes`-crate API — enough for the
 //! little-endian datagram codecs in `coplay-sync` and `coplay-lobby` —
-//! implemented locally because the build environment is offline. Reads
-//! are cursor-style over a plain `&[u8]` and are **total**: a getter on
-//! a too-short slice drains it and returns zero instead of panicking,
-//! so decoders stay panic-free on arbitrary bytes even if a bounds
-//! check is missed. Decoders still gate correctness on
-//! [`Buf::remaining`] (wrapped in their `need!` macros).
+//! implemented locally because the build environment is offline, plus
+//! the two compact encodings of the sync input message: LEB128 varints
+//! and sparse words (a presence mask, then the non-zero bytes).
+//!
+//! Fixed-width reads are cursor-style over a plain `&[u8]` and are
+//! **total**: a getter on a too-short slice drains it and returns zero
+//! instead of panicking, so decoders stay panic-free on arbitrary bytes
+//! even if a bounds check is missed. Decoders still gate correctness on
+//! [`Buf::remaining`] (wrapped in their `need!` macros). The variable-
+//! length reads cannot be length-checked up front, so they return a
+//! [`ReadError`] instead.
 
 use std::ops::Deref;
 use std::sync::Arc;
+
+/// Why a checked read ([`Buf::get_varint`], [`Buf::get_sparse_u32`])
+/// failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// The slice ended inside the value.
+    Truncated,
+    /// The bytes are not a value of the encoding: a varint longer than
+    /// ten bytes or above `u64::MAX`, or a presence mask with bits above
+    /// the fourth byte.
+    Malformed,
+}
 
 /// Cursor-style reads from a shrinking `&[u8]`.
 ///
@@ -36,6 +53,21 @@ pub trait Buf {
     fn get_u32_le(&mut self) -> u32;
     /// Reads a little-endian `u64` (`0` on underflow).
     fn get_u64_le(&mut self) -> u64;
+    /// Reads an unsigned LEB128 varint written by [`BufMut::put_varint`].
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] if the slice ends before the last byte,
+    /// [`ReadError::Malformed`] if the varint runs past ten bytes or
+    /// `u64::MAX`.
+    fn get_varint(&mut self) -> Result<u64, ReadError>;
+    /// Reads a word written by [`BufMut::put_sparse_u32`].
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] if a byte the mask announces is missing,
+    /// [`ReadError::Malformed`] if the mask has bits above the fourth byte.
+    fn get_sparse_u32(&mut self) -> Result<u32, ReadError>;
 }
 
 /// Reads a fixed-width little-endian integer, draining the slice and
@@ -54,6 +86,14 @@ macro_rules! get_le {
             }
         }
     }};
+}
+
+/// Consumes one byte for a checked read.
+#[inline]
+fn next_byte(cursor: &mut &[u8]) -> Result<u8, ReadError> {
+    let (&byte, rest) = cursor.split_first().ok_or(ReadError::Truncated)?;
+    *cursor = rest;
+    Ok(byte)
 }
 
 impl Buf for &[u8] {
@@ -95,6 +135,46 @@ impl Buf for &[u8] {
     fn get_u64_le(&mut self) -> u64 {
         get_le!(self, u64)
     }
+
+    #[inline]
+    fn get_varint(&mut self) -> Result<u64, ReadError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        // Ten groups of seven bits cover 64; the tenth may carry only bit 63.
+        while shift < 64 {
+            let byte = next_byte(self)?;
+            let bits = u64::from(byte & 0x7F);
+            if shift == 63 && bits > 1 {
+                return Err(ReadError::Malformed);
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+        Err(ReadError::Malformed)
+    }
+
+    #[inline]
+    fn get_sparse_u32(&mut self) -> Result<u32, ReadError> {
+        let mask = next_byte(self)?;
+        if mask > 0x0F {
+            return Err(ReadError::Malformed);
+        }
+        let present = self
+            .try_take(mask.count_ones() as usize)
+            .ok_or(ReadError::Truncated)?;
+        // Scatter the packed bytes back to the positions the mask names.
+        let mut v = 0u32;
+        let mut bytes = present.iter();
+        for i in 0..4 {
+            if mask & (1 << i) != 0 {
+                v |= u32::from(bytes.next().copied().unwrap_or(0)) << (8 * i);
+            }
+        }
+        Ok(v)
+    }
 }
 
 /// Little-endian append helpers for growable byte buffers.
@@ -112,6 +192,15 @@ pub trait BufMut {
     fn put_u64_le(&mut self, v: u64);
     /// Appends a byte slice verbatim.
     fn put_slice(&mut self, src: &[u8]);
+    /// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+    /// group first, the high bit set on every byte but the last (1 byte
+    /// below 128, at most 10).
+    fn put_varint(&mut self, v: u64);
+    /// Appends `v` as a sparse word: one presence mask byte whose bit `i`
+    /// says little-endian byte `i` is non-zero, then those bytes in order.
+    /// A zero word is 1 byte; a word with one non-zero byte is 2 in any
+    /// position; a word with four is 5.
+    fn put_sparse_u32(&mut self, v: u32);
 }
 
 impl BufMut for Vec<u8> {
@@ -133,6 +222,32 @@ impl BufMut for Vec<u8> {
 
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+
+    #[inline]
+    fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.push(v as u8);
+    }
+
+    #[inline]
+    fn put_sparse_u32(&mut self, v: u32) {
+        // Pack the non-zero bytes downward behind the mask, append them in
+        // one fixed-size copy, then drop the unused tail.
+        let (mut mask, mut packed, mut n) = (0u8, 0u32, 0usize);
+        for (i, b) in v.to_le_bytes().into_iter().enumerate() {
+            if b != 0 {
+                mask |= 1 << i;
+                packed |= u32::from(b) << (8 * n);
+                n += 1;
+            }
+        }
+        let end = self.len() + 1 + n;
+        self.extend_from_slice(&(u64::from(packed) << 8 | u64::from(mask)).to_le_bytes());
+        self.truncate(end);
     }
 }
 
@@ -319,6 +434,75 @@ mod tests {
         assert_eq!(r.remaining(), 2, "failed take consumes nothing");
         assert_eq!(r.try_take(2), Some(&[3u8, 4][..]));
         assert_eq!(r.try_take(0), Some(&[][..]));
+    }
+
+    #[test]
+    fn varint_roundtrips_and_sizes() {
+        for (v, len) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (1000, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::from(u32::MAX), 5),
+            (u64::MAX, 10),
+        ] {
+            let mut w = Vec::new();
+            w.put_varint(v);
+            assert_eq!(w.len(), len, "{v}");
+            let mut r: &[u8] = &w;
+            assert_eq!(r.get_varint(), Ok(v));
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn varint_rejects_truncation_overlength_and_overflow() {
+        let mut r: &[u8] = &[0x80, 0x80];
+        assert_eq!(r.get_varint(), Err(ReadError::Truncated));
+        let mut r: &[u8] = &[];
+        assert_eq!(r.get_varint(), Err(ReadError::Truncated));
+        // Eleven bytes: ten continuation bytes and a terminator.
+        let mut eleven = vec![0x80u8; 10];
+        eleven.push(0x00);
+        let mut r: &[u8] = &eleven;
+        assert_eq!(r.get_varint(), Err(ReadError::Malformed));
+        // Ten bytes whose last group sets bits past 63.
+        let mut past = vec![0xFFu8; 9];
+        past.push(0x02);
+        let mut r: &[u8] = &past;
+        assert_eq!(r.get_varint(), Err(ReadError::Malformed));
+    }
+
+    #[test]
+    fn sparse_word_is_two_bytes_for_any_one_byte_slot() {
+        for shift in [0, 8, 16, 24] {
+            let v = 0x3Fu32 << shift;
+            let mut w = Vec::new();
+            w.put_sparse_u32(v);
+            assert_eq!(w.len(), 2, "{v:#x}");
+            let mut r: &[u8] = &w;
+            assert_eq!(r.get_sparse_u32(), Ok(v));
+            assert_eq!(r.remaining(), 0);
+        }
+        for (v, len) in [(0u32, 1), (0x0102_0304, 5), (0x00FF_00FF, 3)] {
+            let mut w = Vec::new();
+            w.put_sparse_u32(v);
+            assert_eq!(w.len(), len, "{v:#x}");
+            let mut r: &[u8] = &w;
+            assert_eq!(r.get_sparse_u32(), Ok(v));
+        }
+    }
+
+    #[test]
+    fn sparse_word_rejects_bad_masks_and_truncation() {
+        let mut r: &[u8] = &[0x10];
+        assert_eq!(r.get_sparse_u32(), Err(ReadError::Malformed));
+        let mut r: &[u8] = &[0x03, 0xAA];
+        assert_eq!(r.get_sparse_u32(), Err(ReadError::Truncated));
+        let mut r: &[u8] = &[];
+        assert_eq!(r.get_sparse_u32(), Err(ReadError::Truncated));
     }
 
     #[test]

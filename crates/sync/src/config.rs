@@ -100,7 +100,9 @@ pub struct SyncConfig {
     /// wakes it first.
     pub poll_interval: SimDuration,
     /// Cap on input frames carried per message (oldest first, so
-    /// retransmission stays cumulative).
+    /// retransmission stays cumulative). Read as at least 1 and at most
+    /// [`MAX_INPUTS_PER_MSG`](crate::MAX_INPUTS_PER_MSG), the most a
+    /// receiver decodes.
     pub max_payload_frames: usize,
     /// Whether the slave runs Algorithm 4 (master/slave pace smoothing).
     /// Disabling it reproduces the paper's §3.2 "earlier site is penalized"

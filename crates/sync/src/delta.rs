@@ -25,6 +25,7 @@
 //! and the remaining input, so a truncated or corrupt delta is rejected
 //! with a [`DeltaError`] instead of mis-restoring state.
 
+use coplay_net::bytes::{Buf, BufMut, ReadError};
 use coplay_vm::DirtyPages;
 use std::error::Error;
 use std::fmt;
@@ -55,33 +56,13 @@ impl fmt::Display for DeltaError {
 
 impl Error for DeltaError {}
 
-/// Appends `v` as a LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads a LEB128 varint from the front of `b`.
-fn get_varint(b: &mut &[u8]) -> Result<u64, DeltaError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let Some((&byte, rest)) = b.split_first() else {
-            return Err(DeltaError::Truncated);
-        };
-        *b = rest;
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
+impl From<ReadError> for DeltaError {
+    fn from(e: ReadError) -> DeltaError {
+        match e {
+            ReadError::Truncated => DeltaError::Truncated,
+            ReadError::Malformed => DeltaError::BadVarint,
         }
     }
-    Err(DeltaError::BadVarint)
 }
 
 /// The byte of `base` underlying position `i` of the padded base.
@@ -160,7 +141,7 @@ fn scan_literal_run(base: &[u8], new: &[u8], mut i: usize) -> usize {
 /// against the reference scanner.
 pub fn encode_into(base: &[u8], new: &[u8], out: &mut Vec<u8>) {
     out.clear();
-    put_varint(out, new.len() as u64);
+    out.put_varint(new.len() as u64);
     let mut i = 0;
     while i < new.len() {
         // Count the zero run (bytes equal to the padded base).
@@ -170,8 +151,8 @@ pub fn encode_into(base: &[u8], new: &[u8], out: &mut Vec<u8>) {
         // Count the literal run (bytes that differ).
         let lit_start = i;
         i = scan_literal_run(base, new, i);
-        put_varint(out, zero_run as u64);
-        put_varint(out, (i - lit_start) as u64);
+        out.put_varint(zero_run as u64);
+        out.put_varint((i - lit_start) as u64);
         for (j, &b) in new.iter().enumerate().take(i).skip(lit_start) {
             out.push(b ^ base_byte(base, j));
         }
@@ -195,7 +176,7 @@ pub fn encode_dirty_into(base: &[u8], new: &[u8], dirty: &DirtyPages, out: &mut 
         return;
     }
     out.clear();
-    put_varint(out, new.len() as u64);
+    out.put_varint(new.len() as u64);
     let mut zero_pending: usize = 0;
     let mut pos = 0;
     for (rs, re) in dirty.byte_ranges() {
@@ -214,8 +195,8 @@ pub fn encode_dirty_into(base: &[u8], new: &[u8], dirty: &DirtyPages, out: &mut 
             // equal to the base.
             let lit_start = i;
             i = scan_literal_run(base, &new[..re], i);
-            put_varint(out, zero_pending as u64);
-            put_varint(out, (i - lit_start) as u64);
+            out.put_varint(zero_pending as u64);
+            out.put_varint((i - lit_start) as u64);
             for (j, &b) in new.iter().enumerate().take(i).skip(lit_start) {
                 out.push(b ^ base_byte(base, j));
             }
@@ -225,8 +206,8 @@ pub fn encode_dirty_into(base: &[u8], new: &[u8], dirty: &DirtyPages, out: &mut 
     }
     zero_pending += new.len() - pos;
     if zero_pending > 0 {
-        put_varint(out, zero_pending as u64);
-        put_varint(out, 0);
+        out.put_varint(zero_pending as u64);
+        out.put_varint(0);
     }
 }
 
@@ -235,7 +216,7 @@ pub fn encode_dirty_into(base: &[u8], new: &[u8], dirty: &DirtyPages, out: &mut 
 #[cfg(test)]
 pub(crate) fn encode_into_bytewise(base: &[u8], new: &[u8], out: &mut Vec<u8>) {
     out.clear();
-    put_varint(out, new.len() as u64);
+    out.put_varint(new.len() as u64);
     let mut i = 0;
     while i < new.len() {
         let zero_start = i;
@@ -247,8 +228,8 @@ pub(crate) fn encode_into_bytewise(base: &[u8], new: &[u8], out: &mut Vec<u8>) {
         while i < new.len() && new[i] != base_byte(base, i) {
             i += 1;
         }
-        put_varint(out, zero_run as u64);
-        put_varint(out, (i - lit_start) as u64);
+        out.put_varint(zero_run as u64);
+        out.put_varint((i - lit_start) as u64);
         for (j, &b) in new.iter().enumerate().take(i).skip(lit_start) {
             out.push(b ^ base_byte(base, j));
         }
@@ -264,13 +245,13 @@ pub(crate) fn encode_into_bytewise(base: &[u8], new: &[u8], out: &mut Vec<u8>) {
 /// declared length, or fails to cover it; `buf` must then be considered
 /// garbage (the snapshot ring discards it rather than restoring from it).
 pub fn apply_in_place(buf: &mut Vec<u8>, mut delta: &[u8]) -> Result<(), DeltaError> {
-    let new_len = get_varint(&mut delta)? as usize;
+    let new_len = delta.get_varint()? as usize;
     // The padded base: grow with zeros or truncate to the target length.
     buf.resize(new_len, 0);
     let mut i = 0;
     while i < new_len {
-        let zero_run = get_varint(&mut delta)? as usize;
-        let lit_len = get_varint(&mut delta)? as usize;
+        let zero_run = delta.get_varint()? as usize;
+        let lit_len = delta.get_varint()? as usize;
         i = i
             .checked_add(zero_run)
             .and_then(|v| v.checked_add(lit_len))
@@ -365,16 +346,16 @@ mod tests {
     fn overrunning_ops_are_rejected() {
         // new_len = 4, then a zero run of 100.
         let mut delta = Vec::new();
-        put_varint(&mut delta, 4);
-        put_varint(&mut delta, 100);
-        put_varint(&mut delta, 0);
+        delta.put_varint(4);
+        delta.put_varint(100);
+        delta.put_varint(0);
         let mut buf = vec![0u8; 4];
         assert_eq!(apply_in_place(&mut buf, &delta), Err(DeltaError::Overrun));
         // Overflow-sized runs must not wrap around usize.
         let mut delta = Vec::new();
-        put_varint(&mut delta, 4);
-        put_varint(&mut delta, u64::MAX);
-        put_varint(&mut delta, 1);
+        delta.put_varint(4);
+        delta.put_varint(u64::MAX);
+        delta.put_varint(1);
         let mut buf = vec![0u8; 4];
         assert!(apply_in_place(&mut buf, &delta).is_err());
     }
@@ -384,9 +365,9 @@ mod tests {
         // A (0, 0) op before the end would never terminate; the decoder
         // must reject it instead of spinning.
         let mut delta = Vec::new();
-        put_varint(&mut delta, 2);
-        put_varint(&mut delta, 0);
-        put_varint(&mut delta, 0);
+        delta.put_varint(2);
+        delta.put_varint(0);
+        delta.put_varint(0);
         let mut buf = vec![0u8; 2];
         assert_eq!(
             apply_in_place(&mut buf, &delta),

@@ -28,7 +28,7 @@ use coplay_vm::InputWord;
 
 use crate::config::SyncConfig;
 use crate::input_buffer::InputBuffer;
-use crate::wire::InputMsg;
+use crate::wire::{InputMsg, MAX_INPUTS_PER_MSG};
 
 /// Site number used by observers (they own no input bits and nobody waits
 /// for them).
@@ -307,7 +307,9 @@ impl InputSync {
         let mut out = Vec::new();
         let my_site = self.cfg.my_site;
         let my_last = self.my_last_buffered;
-        let max_frames = self.cfg.max_payload_frames;
+        // A message must carry at least one frame to make progress and no
+        // more than a receiver decodes, or the same batch is re-sent forever.
+        let max_frames = self.cfg.max_payload_frames.clamp(1, MAX_INPUTS_PER_MSG);
         // Collect (site, ack, first..=last) first; building payloads needs &self.buf.
         let plans: Vec<(u8, u64, u64, u64)> = self
             .peers
@@ -473,6 +475,7 @@ impl InputSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Message;
     use coplay_clock::SimDuration;
     use coplay_vm::{Button, Player};
 
@@ -969,6 +972,42 @@ mod tests {
         for (_, m) in msgs {
             assert_eq!(m.first, 6);
             assert_eq!(m.inputs.len(), 4, "window 6..=9 under the cap");
+        }
+    }
+
+    #[test]
+    fn payload_cap_is_clamped_to_what_a_receiver_decodes() {
+        // a's inputs never reach b (only its acks do, so b keeps sending
+        // new frames), so a builds a backlog of 2000 unacked frames. A cap
+        // above the decoder's limit must still yield a message the
+        // receiver accepts, and a zero cap must still carry a frame.
+        for (cap, carried) in [(5000, MAX_INPUTS_PER_MSG), (0, 1)] {
+            let mut cfg = SyncConfig::two_player(0);
+            cfg.max_payload_frames = cap;
+            let mut a = InputSync::new(cfg);
+            let mut b = InputSync::new(SyncConfig::two_player(1));
+            for f in 0..2000u64 {
+                let t = SimTime::from_millis(f * 25);
+                a.begin_frame(f, InputWord(1), t);
+                b.begin_frame(f, InputWord(0x0100), t);
+                b.advance();
+                for (_, mut m) in a.outgoing(t) {
+                    m.inputs.clear();
+                    b.on_message(&m, t);
+                }
+                for (_, m) in b.outgoing(t) {
+                    a.on_message(&m, t);
+                }
+                let _ = a.take();
+            }
+            let msgs = a.outgoing(SimTime::from_secs(60));
+            assert_eq!(msgs.len(), 1);
+            for (_, m) in msgs {
+                let Ok(Message::Input(got)) = Message::decode(&Message::Input(m).encode()) else {
+                    panic!("cap {cap}: the receiver must decode the message");
+                };
+                assert_eq!(got.inputs.len(), carried, "cap {cap}");
+            }
         }
     }
 }

@@ -5,26 +5,42 @@
 //! carries one [`Message`]. The input message is the paper's `sd` vector:
 //!
 //! * `sd[0]` → [`InputMsg::ack`] — cumulative ack of the *receiver's*
-//!   partial inputs (`LastRcvFrame[RmSiteNo]`),
+//!   partial inputs (`LastRcvFrame[RmSiteNo]`), sent after `first` as the
+//!   zigzag LEB128 varint of `ack − first` (both sites run at nearly the
+//!   same frame, so this is one byte where `ack` itself would be two or
+//!   three),
 //! * `sd[1]` → [`InputMsg::first`] — first frame carried
-//!   (`LastAckFrame[RmSiteNo] + 1`),
+//!   (`LastAckFrame[RmSiteNo] + 1`), a LEB128 varint,
 //! * `sd[2]` → `first + inputs.len() - 1` — last frame carried
-//!   (`LastRcvFrame[MySiteNo]`),
-//! * `sd[3…]` → [`InputMsg::inputs`] — the sender's partial input words.
+//!   (`LastRcvFrame[MySiteNo]`), not sent: the run lengths below sum to
+//!   `inputs.len()`,
+//! * `sd[3…]` → [`InputMsg::inputs`] — the sender's partial input words,
+//!   run-length coded: a varint run count, then per run a varint length
+//!   (≥ 1) and the word as a sparse `u32` (a presence mask byte, then the
+//!   word's non-zero bytes).
+//!
+//! The paper's reliability re-sends every unacked frame in every message,
+//! and a sender's partial word holds one player byte that repeats while a
+//! button is held, so a held input costs 3 bytes however many frames
+//! (under 128) it spans, in any of the four player slots. The varint and
+//! sparse-word helpers live in [`coplay_net::bytes`].
 //!
 //! The format is hand-rolled, versioned, and length-checked: exactly what a
 //! production netplay protocol needs, with no serialization framework to
-//! obscure it.
+//! obscure it. A build speaking another version cannot join: its
+//! datagrams decode as [`WireError::BadVersion`] and are dropped.
 
 use std::error::Error;
 use std::fmt;
 
-use coplay_net::bytes::{Buf, BufMut, Bytes};
+use coplay_net::bytes::{Buf, BufMut, Bytes, ReadError};
 use coplay_vm::InputWord;
 
 /// Protocol magic (1 byte) and version (1 byte).
 const MAGIC: u8 = 0xC5;
-const VERSION: u8 = 1;
+/// Version 2 run-length codes the input words and writes frame numbers as
+/// varints; version 1 wrote fixed-width fields and one `u32` per frame.
+const VERSION: u8 = 2;
 
 /// Hard cap on input words per message; bounds allocation on receive.
 pub const MAX_INPUTS_PER_MSG: usize = 1024;
@@ -122,6 +138,18 @@ pub enum WireError {
     UnknownType(u8),
     /// A length field exceeds its hard cap.
     TooLarge,
+    /// A field is not a value of its encoding (an overlong varint, a bad
+    /// presence mask, a zero-length run).
+    Malformed,
+}
+
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => WireError::Truncated,
+            ReadError::Malformed => WireError::Malformed,
+        }
+    }
 }
 
 impl fmt::Display for WireError {
@@ -132,6 +160,7 @@ impl fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
             WireError::UnknownType(t) => write!(f, "unknown message type {t}"),
             WireError::TooLarge => write!(f, "length field exceeds protocol cap"),
+            WireError::Malformed => write!(f, "malformed field"),
         }
     }
 }
@@ -148,6 +177,17 @@ mod ty {
     pub const SNAPSHOT_CHUNK: u8 = 7;
     pub const BYE: u8 = 8;
     pub const TIME_STAMP: u8 = 9;
+}
+
+/// Maps a wrapping difference to a varint-friendly value: small positive
+/// and negative distances both become small (0, -1, 1, -2 → 0, 1, 2, 3).
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 impl Message {
@@ -171,11 +211,12 @@ impl Message {
             Message::Input(m) => {
                 b.put_u8(ty::INPUT);
                 b.put_u8(m.from);
-                b.put_u64_le(m.ack);
-                b.put_u64_le(m.first);
-                b.put_u16_le(m.inputs.len() as u16);
-                for w in &m.inputs {
-                    b.put_u32_le(w.0);
+                b.put_varint(m.first);
+                b.put_varint(zigzag(m.ack.wrapping_sub(m.first)));
+                b.put_varint(m.inputs.chunk_by(|x, y| x == y).count() as u64);
+                for run in m.inputs.chunk_by(|x, y| x == y) {
+                    b.put_varint(run.len() as u64);
+                    b.put_sparse_u32(run.first().map_or(0, |w| w.0));
                 }
             }
             Message::Hello {
@@ -255,18 +296,33 @@ impl Message {
         }
         Ok(match t {
             ty::INPUT => {
-                need!(1 + 8 + 8 + 2);
+                need!(1);
                 let from = b.get_u8();
-                let ack = b.get_u64_le();
-                let first = b.get_u64_le();
-                let n = b.get_u16_le() as usize;
-                if n > MAX_INPUTS_PER_MSG {
+                let first = b.get_varint()?;
+                let ack = first.wrapping_add(unzigzag(b.get_varint()?));
+                let runs = b.get_varint()?;
+                if runs > MAX_INPUTS_PER_MSG as u64 {
                     return Err(WireError::TooLarge);
                 }
-                need!(n * 4);
-                let mut inputs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    inputs.push(InputWord(b.get_u32_le()));
+                let mut inputs = Vec::new();
+                for _ in 0..runs {
+                    let len = b.get_varint()?;
+                    if len == 0 {
+                        return Err(WireError::Malformed);
+                    }
+                    // Checked before the buffer grows, so no datagram can
+                    // make it hold more than the cap.
+                    if len > (MAX_INPUTS_PER_MSG - inputs.len()) as u64 {
+                        return Err(WireError::TooLarge);
+                    }
+                    let word = InputWord(b.get_sparse_u32()?);
+                    let need = inputs.len() + len as usize;
+                    if need > inputs.capacity() {
+                        // Geometric growth from 16 words, clamped to the cap.
+                        let cap = need.max(2 * inputs.capacity()).max(16);
+                        inputs.reserve_exact(cap.min(MAX_INPUTS_PER_MSG) - inputs.len());
+                    }
+                    inputs.resize(need, word);
                 }
                 Message::Input(InputMsg {
                     from,
@@ -342,6 +398,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coplay_vm::Player;
 
     fn samples() -> Vec<Message> {
         vec![
@@ -356,6 +413,12 @@ mod tests {
                 ack: 7,
                 first: 8,
                 inputs: vec![], // pure ack
+            }),
+            Message::Input(InputMsg {
+                from: 2,
+                ack: u64::MAX,
+                first: 0, // `ack - first` wraps
+                inputs: vec![InputWord(0x0300_0000); 130],
             }),
             Message::Hello {
                 site: 1,
@@ -458,21 +521,105 @@ mod tests {
         assert_eq!(Message::decode(&bytes), Err(WireError::Truncated));
     }
 
-    #[test]
-    fn decode_rejects_oversized_counts() {
-        // Hand-craft an input message claiming 2000 words.
-        let mut b = vec![MAGIC, VERSION, 1, 0];
-        b.extend_from_slice(&0u64.to_le_bytes());
-        b.extend_from_slice(&0u64.to_le_bytes());
-        b.extend_from_slice(&2000u16.to_le_bytes());
-        assert_eq!(Message::decode(&b), Err(WireError::TooLarge));
+    /// An input message's bytes up to its run count: header, `from` 0,
+    /// `first` 0 and `ack` 0.
+    fn input_header(runs: u64) -> Vec<u8> {
+        let mut b = vec![MAGIC, VERSION, ty::INPUT, 0, 0, 0];
+        b.put_varint(runs);
+        b
     }
 
     #[test]
-    fn encoding_is_compact() {
-        // A 3-frame input message fits well inside a minimal MTU.
-        let bytes = samples()[0].encode();
-        assert!(bytes.len() < 64, "len {}", bytes.len());
+    fn decode_rejects_oversized_counts() {
+        // More runs than the cap allows frames.
+        let b = input_header(MAX_INPUTS_PER_MSG as u64 + 1);
+        assert_eq!(Message::decode(&b), Err(WireError::TooLarge));
+
+        // Runs summing past the cap. The second run's word is missing, so
+        // `TooLarge` (not `Truncated`) shows the length is refused before
+        // anything after it is read or the buffer grows for it.
+        let mut b = input_header(2);
+        b.put_varint(MAX_INPUTS_PER_MSG as u64 - 1);
+        b.put_sparse_u32(7);
+        b.put_varint(2);
+        assert_eq!(Message::decode(&b), Err(WireError::TooLarge));
+        let mut b = input_header(1);
+        b.put_varint(u64::MAX);
+        assert_eq!(Message::decode(&b), Err(WireError::TooLarge));
+
+        // Exactly the cap decodes, into a buffer no larger than the cap.
+        let mut b = input_header(2);
+        b.put_varint(MAX_INPUTS_PER_MSG as u64 - 1);
+        b.put_sparse_u32(7);
+        b.put_varint(1);
+        b.put_sparse_u32(0);
+        let Ok(Message::Input(m)) = Message::decode(&b) else {
+            panic!("a message of exactly the cap must decode");
+        };
+        assert_eq!(m.inputs.len(), MAX_INPUTS_PER_MSG);
+        assert!(m.inputs.capacity() <= MAX_INPUTS_PER_MSG);
+    }
+
+    #[test]
+    fn decode_rejects_malformed_runs_and_fields() {
+        // A zero-length run.
+        let mut b = input_header(1);
+        b.put_varint(0);
+        b.put_sparse_u32(1);
+        assert_eq!(Message::decode(&b), Err(WireError::Malformed));
+
+        // An 11-byte varint in place of `first`.
+        let mut b = vec![MAGIC, VERSION, ty::INPUT, 0];
+        b.extend_from_slice(&[0x80; 10]);
+        b.extend_from_slice(&[0x00, 0, 0]);
+        assert_eq!(Message::decode(&b), Err(WireError::Malformed));
+
+        // A presence mask with a bit above the fourth byte.
+        let mut b = input_header(1);
+        b.put_varint(1);
+        b.extend_from_slice(&[0x11, 0xAA]);
+        assert_eq!(Message::decode(&b), Err(WireError::Malformed));
+    }
+
+    #[test]
+    fn wan_rollback_shaped_message_fits_in_14_bytes() {
+        // About six frames carried per datagram, in two held inputs, with
+        // frame numbers past 127 so `first` needs two varint bytes.
+        for player in (0..Player::MAX as u8).map(Player) {
+            let held = |buttons: u8, n: usize| vec![InputWord::for_player(player, buttons); n];
+            let mut inputs = held(0x21, 4);
+            inputs.extend(held(0x0C, 2));
+            let m = Message::Input(InputMsg {
+                from: 1,
+                ack: 998,
+                first: 1000,
+                inputs,
+            });
+            let bytes = m.encode();
+            assert!(bytes.len() <= 14, "{player:?}: {} B", bytes.len());
+            assert_eq!(Message::decode(&bytes).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn changing_words_cost_no_more_than_fixed_width() {
+        // The worst case for runs — a new word every frame — must not
+        // exceed version 1's 22 + 4 B per frame, in any player slot.
+        for player in (0..Player::MAX as u8).map(Player) {
+            for n in [1usize, 2, 6, 120, MAX_INPUTS_PER_MSG] {
+                let inputs = (0..n)
+                    .map(|i| InputWord::for_player(player, (i % 63) as u8 + 1))
+                    .collect();
+                let m = Message::Input(InputMsg {
+                    from: 3,
+                    ack: u64::MAX - 1,
+                    first: u64::MAX - n as u64,
+                    inputs,
+                });
+                let len = m.encode().len();
+                assert!(len <= 22 + 4 * n, "{player:?} n={n}: {len} B");
+            }
+        }
     }
 
     #[test]
