@@ -13,8 +13,8 @@
 //!
 //! Perf-regression guard: `--check <baseline.json>` compares against a
 //! committed run and exits non-zero when throughput halves or latency/drops
-//! double (the hotpath guard's shape, with direction per metric). The
-//! reference lives at `results/fleet_baseline.json`.
+//! double ([`coplay_bench::Guard`], shared with hotpath, with a direction
+//! per metric). The reference lives at `results/fleet_baseline.json`.
 
 // This harness times the event loop from outside the determinism fence, so
 // the wall-clock ban does not apply (see detlint policy for
@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use coplay_bench::write_results_json;
+use coplay_bench::{write_results_json, Better, Guard};
 use coplay_clock::{EventQueue, SimDuration, SimTime};
 use coplay_net::bytes::{Buf, BufMut};
 use coplay_net::{NetemChannel, NetemConfig};
@@ -37,6 +37,12 @@ const REGRESSION_FACTOR: u64 = 2;
 /// Absolute slack so near-zero baselines (e.g. sub-ms latencies or a
 /// zero drop rate) cannot trip the guard on noise alone.
 const NOISE_FLOOR: u64 = 500;
+
+const GUARD: Guard = Guard {
+    field: "value",
+    factor: REGRESSION_FACTOR,
+    noise_floor: NOISE_FLOOR,
+};
 
 /// The sync protocol's outbound cadence (§4.2: one message per 20 ms).
 const SEND_EVERY: SimDuration = SimDuration::from_millis(20);
@@ -397,81 +403,29 @@ fn render_json(o: &FleetOptions, metrics: &[Metric]) -> String {
     out
 }
 
-/// Extracts `key -> value` pairs from a fleet results document (one metric
-/// per line, shaped `{"key": "...", "value": N}`).
-fn parse_metrics(json: &str) -> Vec<(String, u64)> {
-    let mut pairs = Vec::new();
-    for line in json.lines() {
-        let Some(key_at) = line.find("\"key\": \"") else {
-            continue;
-        };
-        let rest = &line[key_at + 8..];
-        let Some(key_end) = rest.find('"') else {
-            continue;
-        };
-        let key = &rest[..key_end];
-        let Some(v_at) = line.find("\"value\": ") else {
-            continue;
-        };
-        let digits: String = line[v_at + 9..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        if let Ok(v) = digits.parse() {
-            pairs.push((key.to_string(), v));
-        }
-    }
-    pairs
-}
-
-/// `true` for metrics where *lower* is worse (throughput); the rest are
-/// costs where *higher* is worse. Size-of-run metrics are not guarded.
-fn guard_direction(key: &str) -> Option<bool> {
+/// Throughput improves upwards and costs downwards; size-of-run metrics
+/// are not guarded.
+fn guard_direction(key: &str) -> Option<Better> {
     if key.ends_with("_per_sec") {
-        return Some(true);
+        return Some(Better::Higher);
     }
     if key.ends_with("_latency_us") || key == "drop_rate_milli" || key == "backpressure_drops" {
-        return Some(false);
+        return Some(Better::Lower);
     }
     None
 }
 
-/// Compares fresh metrics against a baseline document. Returns the number
-/// of regressions: throughput below `baseline / 2`, costs above
-/// `baseline * 2` (plus the noise floor on both sides).
+/// Checks `metrics` against a baseline document: throughput below
+/// `baseline / 2`, costs above `baseline * 2` (plus the noise floor on
+/// both sides).
 fn check_against(baseline_json: &str, metrics: &[Metric]) -> usize {
-    let baseline = parse_metrics(baseline_json);
-    if baseline.is_empty() {
-        eprintln!("baseline contains no metrics; nothing to check");
-        return 0;
-    }
-    let mut regressions = 0;
-    println!(
-        "{:<26} {:>12} {:>12}  verdict",
-        "metric", "baseline", "current"
-    );
-    for (key, base) in &baseline {
-        let Some(throughput) = guard_direction(key) else {
-            continue;
-        };
-        let Some(cur) = metrics.iter().find(|m| m.key == key.as_str()) else {
-            println!("{key:<26} {base:>12} {:>12}  missing from this run", "-");
-            continue;
-        };
-        let bad = if throughput {
-            cur.value.saturating_mul(REGRESSION_FACTOR) + NOISE_FLOOR < *base
-        } else {
-            cur.value > base.saturating_mul(REGRESSION_FACTOR) + NOISE_FLOOR
-        };
-        let verdict = if bad {
-            regressions += 1;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!("{:<26} {:>12} {:>12}  {}", key, base, cur.value, verdict);
-    }
-    regressions
+    GUARD
+        .check(
+            baseline_json,
+            |key| metrics.iter().find(|m| m.key == key).map(|m| m.value),
+            guard_direction,
+        )
+        .regressions
 }
 
 fn main() {
@@ -559,7 +513,7 @@ mod tests {
         let pick = |r: &FleetResult| {
             r.metrics
                 .iter()
-                .filter(|m| guard_direction(m.key) != Some(true))
+                .filter(|m| guard_direction(m.key) != Some(Better::Higher))
                 .map(|m| (m.key, m.value))
                 .collect::<Vec<_>>()
         };
@@ -626,7 +580,7 @@ mod tests {
                 value: 4,
             },
         ];
-        let parsed = parse_metrics(&render_json(&o, &metrics));
+        let parsed = coplay_bench::parse_entries(&render_json(&o, &metrics), GUARD.field);
         assert_eq!(
             parsed,
             vec![

@@ -1,11 +1,10 @@
 //! Microbenchmarks for the rollback hot loop.
 //!
 //! Rollback repair happens *inside* a 16.7 ms frame budget: checkpoint
-//! capture, delta encoding, checkpoint restore, and resimulation all run on
-//! the critical path, and the per-frame input send shares it. This binary
-//! times each of those operations per bundled game (plus the wire codec)
-//! and writes `results/BENCH_hotpath.json` with ns/op and bytes/op, the
-//! pooled-buffer hit rate, and the delta-vs-full compression ratio.
+//! capture, checkpoint restore, and resimulation all run on the critical
+//! path, and the per-frame input send shares it. This binary times each of
+//! those operations per bundled game (plus the wire codec) and writes
+//! `results/BENCH_hotpath.json` with ns/op and bytes/op.
 //!
 //! Run: `cargo run --release -p coplay-bench --bin hotpath [--quick]`
 //!
@@ -16,7 +15,8 @@
 //! The guard is direction-aware: an op that got more than 2x *faster* is
 //! reported as a stale-baseline warning — repin the baseline so the guard
 //! keeps protecting the improvement — but does not fail the run.
-//! The checked-in reference lives at `results/hotpath_baseline.json`.
+//! The checked-in reference lives at `results/hotpath_baseline.json`; the
+//! guard itself is [`coplay_bench::Guard`], shared with `fleet`.
 
 // This harness times the hot loop from outside the determinism fence, so
 // the wall-clock ban does not apply (see detlint policy for
@@ -25,10 +25,9 @@
 
 use std::time::{Duration, Instant};
 
-use coplay_bench::{banner, write_results_json, Options};
+use coplay_bench::{banner, write_results_json, Better, Guard, Options};
 use coplay_games::{catalog, rom_pong_console, rom_race_console};
-use coplay_sync::{delta, SnapshotRing};
-use coplay_sync::{InputMsg, Message};
+use coplay_sync::{InputMsg, Message, SnapshotRing};
 use coplay_vm::{
     Console, Cpu, Devices, DirtyPages, InputWord, Instruction, InterpMode, Machine, Reg, Rom,
     StepMode, Syscall, DEFAULT_CYCLES_PER_FRAME,
@@ -42,6 +41,13 @@ const REGRESSION_FACTOR: u64 = 2;
 /// trip the guard on measurement noise alone.
 const NOISE_FLOOR_NS: u64 = 200;
 
+/// Every hot-path op is a cost: lower ns/op is better.
+const GUARD: Guard = Guard {
+    field: "ns_per_op",
+    factor: REGRESSION_FACTOR,
+    noise_floor: NOISE_FLOOR_NS,
+};
+
 /// One timed operation.
 struct Measurement {
     key: String,
@@ -53,11 +59,6 @@ struct Measurement {
 struct GameSummary {
     name: &'static str,
     snapshot_bytes: u64,
-    /// Full-snapshot bytes vs delta bytes over consecutive frames, in
-    /// thousandths (4000 = deltas are 4x smaller).
-    delta_ratio_milli: u64,
-    /// Snapshot-ring buffer-pool hit rate after warmup, in thousandths.
-    pool_hit_rate_milli: u64,
     /// Interpreter decode-cache warm-dispatch rate in thousandths; 0 for
     /// native-Rust machines that have no interpreter.
     decode_hit_rate_milli: u64,
@@ -130,10 +131,8 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
         for f in 0..120 {
             m.step_frame(input_for(f));
         }
-        let base = m.save_state();
         m.step_frame(input_for(120));
-        let next = m.save_state();
-        let snapshot_bytes = next.len() as u64;
+        let snapshot_bytes = m.save_state().len() as u64;
 
         let ns = bench_ns(budget, || {
             std::hint::black_box(m.save_state().len());
@@ -155,41 +154,18 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             bytes_per_op: snapshot_bytes,
         });
 
-        let mut dbuf = Vec::new();
-        let ns = bench_ns(budget, || {
-            delta::encode_into(&base, &next, &mut dbuf);
-            std::hint::black_box(dbuf.len());
-        });
-        let delta_bytes = dbuf.len() as u64;
-        measurements.push(Measurement {
-            key: format!("{name}/delta_encode"),
-            ns_per_op: ns,
-            bytes_per_op: delta_bytes,
-        });
-
-        // Average one-frame delta size over a window of consecutive
-        // frames: this is the "delta checkpoints are Nx smaller" number.
-        let mut full_total = 0u64;
-        let mut delta_total = 0u64;
-        let mut prev = m.save_state();
-        let mut cur = Vec::new();
+        // Step to frame 153, where `measure_interp` fills its ring too.
         for f in 121..153 {
             m.step_frame(input_for(f));
-            m.save_state_into(&mut cur);
-            delta::encode_into(&prev, &cur, &mut dbuf);
-            full_total += cur.len() as u64;
-            delta_total += dbuf.len() as u64;
-            std::mem::swap(&mut prev, &mut cur);
         }
-        let delta_ratio_milli = full_total.saturating_mul(1000) / delta_total.max(1);
 
-        // Restore from the deepest point of a back-delta chain.
+        // Restore the newest of 8 checkpoints: a copy of the ring's tail.
         let mut ring = SnapshotRing::new(8);
         for _ in 0..8 {
             let f = m.frame();
             m.step_frame(input_for(f));
-            m.save_state_into(&mut cap);
-            ring.push(m.frame(), &cap, m.state_hash());
+            let hash = m.state_hash();
+            ring.checkpoint_from(m.frame(), hash, &mut m);
         }
         let newest = ring.newest_frame().expect("ring was just filled");
         let mut rbuf = Vec::new();
@@ -330,25 +306,12 @@ fn measure_games(budget: Duration) -> (Vec<Measurement>, Vec<GameSummary>) {
             bytes_per_op: restored_bytes as u64,
         });
 
-        // Steady-state pool behaviour: after the ring warms up, every
-        // eviction recycles exactly one buffer, so misses stay bounded by
-        // the warmup while hits grow with every push.
-        let mut pool_ring = SnapshotRing::new(8);
-        m.save_state_into(&mut cap);
-        let hash = m.state_hash();
-        let start = m.frame();
-        for i in 1..=1000u64 {
-            pool_ring.push(start + i, &cap, hash);
-        }
-        let pool_hit_rate_milli = pool_ring.pool_stats().hit_rate_milli();
         let decode_hit_rate_milli = m.interp_stats().map_or(0, |s| s.hit_rate_milli());
         let fusion_rate_milli = m.interp_stats().map_or(0, |s| s.fusion_rate_milli());
 
         summaries.push(GameSummary {
             name,
             snapshot_bytes,
-            delta_ratio_milli,
-            pool_hit_rate_milli,
             decode_hit_rate_milli,
             fusion_rate_milli,
         });
@@ -402,8 +365,8 @@ fn measure_interp(budget: Duration) -> Vec<Measurement> {
     ];
     for (name, make) in roms {
         // Phase-lock with `measure_games`: replicate its exact stepping
-        // schedule (120-frame warmup, the +1/+32 snapshot and delta-window
-        // steps, 8 ring pushes) so the reference numbers pin the *same*
+        // schedule (153 frames, then 8 checkpointed frames) so the
+        // reference numbers pin the *same*
         // checkpoint frame as the cache-on ones — both interpreter loops
         // are state-identical, so any cost difference is pure mode.
         let mut slow = make().with_interp_mode(InterpMode::Reference);
@@ -411,12 +374,11 @@ fn measure_interp(budget: Duration) -> Vec<Measurement> {
             slow.step_frame(input_for(f));
         }
         let mut ring = SnapshotRing::new(8);
-        let mut cap = Vec::new();
         for _ in 0..8 {
             let f = slow.frame();
             slow.step_frame(input_for(f));
-            slow.save_state_into(&mut cap);
-            ring.push(slow.frame(), &cap, slow.state_hash());
+            let hash = slow.state_hash();
+            ring.checkpoint_from(slow.frame(), hash, &mut slow);
         }
         let newest = ring.newest_frame().expect("ring was just filled");
 
@@ -590,13 +552,10 @@ fn render_json(opts: &Options, games: &[GameSummary], measurements: &[Measuremen
     out.push_str(&format!("  \"seed\": {},\n  \"games\": [\n", opts.seed));
     for (i, g) in games.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"game\": \"{}\", \"snapshot_bytes\": {}, \"delta_ratio_milli\": {}, \
-             \"pool_hit_rate_milli\": {}, \"decode_hit_rate_milli\": {}, \
-             \"fusion_rate_milli\": {}}}{}\n",
+            "    {{\"game\": \"{}\", \"snapshot_bytes\": {}, \
+             \"decode_hit_rate_milli\": {}, \"fusion_rate_milli\": {}}}{}\n",
             g.name,
             g.snapshot_bytes,
-            g.delta_ratio_milli,
-            g.pool_hit_rate_milli,
             g.decode_hit_rate_milli,
             g.fusion_rate_milli,
             if i + 1 < games.len() { "," } else { "" },
@@ -614,82 +573,6 @@ fn render_json(opts: &Options, games: &[GameSummary], measurements: &[Measuremen
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Extracts `key -> ns_per_op` pairs from a hotpath results document.
-///
-/// Hand-rolled like the writers in this crate: each measurement sits on
-/// one line shaped `{"key": "...", "ns_per_op": N, ...}`.
-fn parse_measurements(json: &str) -> Vec<(String, u64)> {
-    let mut pairs = Vec::new();
-    for line in json.lines() {
-        let Some(key_at) = line.find("\"key\": \"") else {
-            continue;
-        };
-        let rest = &line[key_at + 8..];
-        let Some(key_end) = rest.find('"') else {
-            continue;
-        };
-        let key = &rest[..key_end];
-        let Some(ns_at) = line.find("\"ns_per_op\": ") else {
-            continue;
-        };
-        let digits: String = line[ns_at + 13..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        if let Ok(ns) = digits.parse() {
-            pairs.push((key.to_string(), ns));
-        }
-    }
-    pairs
-}
-
-/// Outcome of a baseline comparison. `regressions` fail the run;
-/// `speedups` mean the baseline is stale — large improvements should be
-/// repinned so the guard starts protecting them too.
-#[derive(Default)]
-struct CheckOutcome {
-    regressions: usize,
-    speedups: usize,
-}
-
-/// Compares fresh measurements against a baseline document, in both
-/// directions: an op slower than `REGRESSION_FACTOR`x baseline (plus the
-/// noise floor) is a regression; an op faster by the same margin is a
-/// stale-baseline warning.
-fn check_against(baseline_json: &str, measurements: &[Measurement]) -> CheckOutcome {
-    let baseline = parse_measurements(baseline_json);
-    let mut outcome = CheckOutcome::default();
-    if baseline.is_empty() {
-        eprintln!("baseline contains no measurements; nothing to check");
-        return outcome;
-    }
-    println!(
-        "{:<28} {:>12} {:>12}  verdict",
-        "op", "baseline ns", "current ns"
-    );
-    for (key, base_ns) in &baseline {
-        let Some(cur) = measurements.iter().find(|m| &m.key == key) else {
-            println!("{key:<28} {base_ns:>12} {:>12}  missing from this run", "-");
-            continue;
-        };
-        let slow_limit = base_ns.saturating_mul(REGRESSION_FACTOR) + NOISE_FLOOR_NS;
-        let verdict = if cur.ns_per_op > slow_limit {
-            outcome.regressions += 1;
-            "REGRESSION"
-        } else if cur.ns_per_op.saturating_mul(REGRESSION_FACTOR) + NOISE_FLOOR_NS < *base_ns {
-            outcome.speedups += 1;
-            "FASTER (repin baseline)"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:<28} {:>12} {:>12}  {}",
-            key, base_ns, cur.ns_per_op, verdict
-        );
-    }
-    outcome
 }
 
 fn main() {
@@ -723,18 +606,14 @@ fn main() {
     }
     println!();
     println!(
-        "{:<12} {:>14} {:>16} {:>15} {:>15} {:>12}",
-        "game", "snapshot B", "delta ratio", "pool hits", "decode hits", "fused"
+        "{:<12} {:>14} {:>15} {:>12}",
+        "game", "snapshot B", "decode hits", "fused"
     );
     for g in &games {
         println!(
-            "{:<12} {:>14} {:>13}.{:01}x {:>13}.{:01}% {:>13}.{:01}% {:>10}.{:01}%",
+            "{:<12} {:>14} {:>13}.{:01}% {:>10}.{:01}%",
             g.name,
             g.snapshot_bytes,
-            g.delta_ratio_milli / 1000,
-            (g.delta_ratio_milli % 1000) / 100,
-            g.pool_hit_rate_milli / 10,
-            g.pool_hit_rate_milli % 10,
             g.decode_hit_rate_milli / 10,
             g.decode_hit_rate_milli % 10,
             g.fusion_rate_milli / 10,
@@ -775,7 +654,7 @@ fn main() {
             let verdict = if ns < 1000 { "within" } else { "OVER" };
             println!("{name}/repair_headless: {ns} ns/frame ({verdict} the 1 us/frame budget)");
         }
-        // Dirty-page checkpointing budgets: a delta checkpoint save in
+        // Dirty-page checkpointing budgets: a checkpoint capture in
         // 300 ns and a same-session bitmap-guided restore in 1 us.
         if let Some(ns) = ns_of(&format!("{name}/checkpoint_dirty")) {
             let verdict = if ns <= 300 { "within" } else { "OVER" };
@@ -818,7 +697,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let outcome = check_against(&baseline, &measurements);
+        let outcome = GUARD.check(&baseline, ns_of, |_| Some(Better::Lower));
         if outcome.speedups > 0 {
             eprintln!(
                 "{} op(s) ran >{REGRESSION_FACTOR}x faster than {path}; the baseline is \
@@ -855,7 +734,7 @@ mod tests {
             },
         ];
         let json = render_json(&opts, &[], &ms);
-        let parsed = parse_measurements(&json);
+        let parsed = coplay_bench::parse_entries(&json, GUARD.field);
         assert_eq!(
             parsed,
             vec![
@@ -863,96 +742,6 @@ mod tests {
                 ("wire/encode_into".to_string(), 45),
             ]
         );
-    }
-
-    #[test]
-    fn check_flags_only_real_regressions() {
-        let opts = Options::default();
-        let baseline = render_json(
-            &opts,
-            &[],
-            &[
-                Measurement {
-                    key: "a".into(),
-                    ns_per_op: 1000,
-                    bytes_per_op: 0,
-                },
-                Measurement {
-                    key: "b".into(),
-                    ns_per_op: 10,
-                    bytes_per_op: 0,
-                },
-            ],
-        );
-        // 2x + noise floor: 1000 -> limit 2200; 10 -> limit 220.
-        let fine = [
-            Measurement {
-                key: "a".into(),
-                ns_per_op: 2200,
-                bytes_per_op: 0,
-            },
-            Measurement {
-                key: "b".into(),
-                ns_per_op: 200,
-                bytes_per_op: 0,
-            },
-        ];
-        let outcome = check_against(&baseline, &fine);
-        assert_eq!(outcome.regressions, 0);
-        assert_eq!(outcome.speedups, 0);
-        let slow = [
-            Measurement {
-                key: "a".into(),
-                ns_per_op: 2201,
-                bytes_per_op: 0,
-            },
-            Measurement {
-                key: "b".into(),
-                ns_per_op: 200,
-                bytes_per_op: 0,
-            },
-        ];
-        let outcome = check_against(&baseline, &slow);
-        assert_eq!(outcome.regressions, 1);
-        assert_eq!(outcome.speedups, 0);
-    }
-
-    #[test]
-    fn check_warns_on_large_speedups_without_failing() {
-        let opts = Options::default();
-        let baseline = render_json(
-            &opts,
-            &[],
-            &[
-                Measurement {
-                    key: "a".into(),
-                    ns_per_op: 10_000,
-                    bytes_per_op: 0,
-                },
-                Measurement {
-                    key: "b".into(),
-                    ns_per_op: 10,
-                    bytes_per_op: 0,
-                },
-            ],
-        );
-        // `a` at 2x-minus-noise-floor is a speedup (4900*2 + 200 < 10000);
-        // `b` is tiny, so the noise floor keeps even a 10 -> 1 drop quiet.
-        let fast = [
-            Measurement {
-                key: "a".into(),
-                ns_per_op: 4899,
-                bytes_per_op: 0,
-            },
-            Measurement {
-                key: "b".into(),
-                ns_per_op: 1,
-                bytes_per_op: 0,
-            },
-        ];
-        let outcome = check_against(&baseline, &fast);
-        assert_eq!(outcome.regressions, 0);
-        assert_eq!(outcome.speedups, 1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every figure and extension experiment from DESIGN.md §4 has a binary in
 //! `src/bin/`; they share the small argument parser and formatting helpers
-//! here. Micro-benchmarks live in `benches/micro.rs`.
+//! here, and `hotpath` and `fleet` share the baseline guard ([`Guard`]).
+//! Micro-benchmarks live in `benches/micro.rs`.
 
 use std::path::{Path, PathBuf};
 
@@ -244,6 +245,119 @@ pub fn write_results_json(file_name: &str, json: &str) -> std::io::Result<PathBu
     Ok(path)
 }
 
+/// Which direction of a guarded metric is an improvement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// A cost: time per op, latency, drops.
+    Lower,
+    /// A throughput.
+    Higher,
+}
+
+/// Extracts `key -> field` pairs from a results document written by a
+/// bench binary. Hand-rolled like the writers: each entry sits on one line
+/// shaped `{"key": "...", "<field>": N, ...}`; other lines are skipped.
+pub fn parse_entries(json: &str, field: &str) -> Vec<(String, u64)> {
+    let needle = format!("\"{field}\": ");
+    let mut pairs = Vec::new();
+    for line in json.lines() {
+        let Some(key_at) = line.find("\"key\": \"") else {
+            continue;
+        };
+        let rest = &line[key_at + 8..];
+        let Some(key_end) = rest.find('"') else {
+            continue;
+        };
+        let Some(v_at) = line.find(&needle) else {
+            continue;
+        };
+        let digits: String = line[v_at + needle.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        if let Ok(v) = digits.parse() {
+            pairs.push((rest[..key_end].to_string(), v));
+        }
+    }
+    pairs
+}
+
+/// Outcome of a [`Guard`] check. `regressions` fail the run; `speedups`
+/// mean the baseline is stale — large improvements should be repinned so
+/// the guard starts protecting them too.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CheckOutcome {
+    /// Metrics more than the guard's factor worse than their baseline.
+    pub regressions: usize,
+    /// Metrics more than the guard's factor better than their baseline.
+    pub speedups: usize,
+}
+
+/// The direction-aware perf-regression guard the bench binaries share.
+#[derive(Debug, Clone, Copy)]
+pub struct Guard {
+    /// The entry field holding the guarded value (`ns_per_op`, `value`).
+    pub field: &'static str,
+    /// A metric worse than `factor` times its baseline is a regression.
+    pub factor: u64,
+    /// Absolute slack added to every threshold so near-zero baselines
+    /// cannot trip the guard on noise alone.
+    pub noise_floor: u64,
+}
+
+impl Guard {
+    /// Compares fresh values against a baseline document, in both
+    /// directions: a value worse than `factor`x its baseline (plus the
+    /// noise floor) is a regression; one better by the same margin is a
+    /// stale-baseline speedup. `better` gives each key's direction, or
+    /// `None` for keys that are not guarded (size-of-run counts);
+    /// `current` looks a key up in this run. Prints one verdict row per
+    /// baseline entry.
+    pub fn check(
+        &self,
+        baseline_json: &str,
+        current: impl Fn(&str) -> Option<u64>,
+        better: impl Fn(&str) -> Option<Better>,
+    ) -> CheckOutcome {
+        let baseline = parse_entries(baseline_json, self.field);
+        let mut outcome = CheckOutcome::default();
+        if baseline.is_empty() {
+            eprintln!("baseline contains no entries; nothing to check");
+            return outcome;
+        }
+        println!(
+            "{:<28} {:>12} {:>12}  verdict",
+            "key", "baseline", "current"
+        );
+        for (key, base) in &baseline {
+            let Some(better) = better(key) else {
+                continue;
+            };
+            let Some(cur) = current(key) else {
+                println!("{key:<28} {base:>12} {:>12}  missing from this run", "-");
+                continue;
+            };
+            let above = cur > base.saturating_mul(self.factor) + self.noise_floor;
+            let below = cur.saturating_mul(self.factor) + self.noise_floor < *base;
+            let (worse, faster) = match better {
+                Better::Lower => (above, below),
+                Better::Higher => (below, above),
+            };
+            let verdict = if worse {
+                outcome.regressions += 1;
+                "REGRESSION"
+            } else if faster {
+                outcome.speedups += 1;
+                "FASTER (repin baseline)"
+            } else {
+                "ok"
+            };
+            println!("{key:<28} {base:>12} {cur:>12}  {verdict}");
+        }
+        outcome
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,5 +482,83 @@ mod tests {
         assert_eq!(json_num(f64::NAN), "null");
         assert_eq!(json_num(f64::INFINITY), "null");
         assert!(json_num(1.5).starts_with("1.5"));
+    }
+
+    /// The hotpath guard: every op is a cost, 2x plus a 200 ns floor.
+    const NS_GUARD: Guard = Guard {
+        field: "ns_per_op",
+        factor: 2,
+        noise_floor: 200,
+    };
+
+    fn check_ns(baseline: &str, current: &[(&str, u64)]) -> CheckOutcome {
+        NS_GUARD.check(
+            baseline,
+            |k| current.iter().find(|c| c.0 == k).map(|c| c.1),
+            |_| Some(Better::Lower),
+        )
+    }
+
+    #[test]
+    fn check_flags_only_real_regressions() {
+        let baseline = r#"
+    {"key": "a", "ns_per_op": 1000, "bytes_per_op": 0},
+    {"key": "b", "ns_per_op": 10, "bytes_per_op": 0}
+"#;
+        // 2x + noise floor: 1000 -> limit 2200; 10 -> limit 220.
+        let outcome = check_ns(baseline, &[("a", 2200), ("b", 200)]);
+        assert_eq!(outcome, CheckOutcome::default());
+        let outcome = check_ns(baseline, &[("a", 2201), ("b", 200)]);
+        assert_eq!(outcome.regressions, 1);
+        assert_eq!(outcome.speedups, 0);
+    }
+
+    #[test]
+    fn check_warns_on_large_speedups_without_failing() {
+        let baseline = r#"
+    {"key": "a", "ns_per_op": 10000, "bytes_per_op": 0},
+    {"key": "b", "ns_per_op": 10, "bytes_per_op": 0}
+"#;
+        // `a` at 2x-minus-noise-floor is a speedup (4899*2 + 200 < 10000);
+        // `b` is tiny, so the noise floor keeps even a 10 -> 1 drop quiet.
+        let outcome = check_ns(baseline, &[("a", 4899), ("b", 1)]);
+        assert_eq!(outcome.regressions, 0);
+        assert_eq!(outcome.speedups, 1);
+    }
+
+    #[test]
+    fn throughput_regresses_downwards() {
+        let guard = Guard {
+            field: "value",
+            factor: 2,
+            noise_floor: 500,
+        };
+        let baseline = r#"{"key": "ops_per_sec", "value": 100000}"#;
+        let check = |v: u64| guard.check(baseline, |_| Some(v), |_| Some(Better::Higher));
+        assert_eq!(check(49_750).regressions, 0);
+        assert_eq!(check(49_749).regressions, 1);
+        assert_eq!(check(200_501).speedups, 1);
+        assert_eq!(check(200_500), CheckOutcome::default());
+        // Unguarded keys are skipped entirely.
+        let skipped = guard.check(baseline, |_| Some(1), |_| None);
+        assert_eq!(skipped, CheckOutcome::default());
+    }
+
+    #[test]
+    fn parse_entries_reads_the_named_field() {
+        let json = r#"
+  "seed": 7,
+    {"key": "x/op", "ns_per_op": 12, "bytes_per_op": 64},
+    {"key": "sessions", "value": 64},
+    {"key": "broken", "ns_per_op": -3}
+"#;
+        assert_eq!(
+            parse_entries(json, "ns_per_op"),
+            vec![("x/op".to_string(), 12)]
+        );
+        assert_eq!(
+            parse_entries(json, "value"),
+            vec![("sessions".to_string(), 64)]
+        );
     }
 }

@@ -23,13 +23,13 @@
 //! |------|-----------|-----------------|-----------|
 //! | wire codecs (`net/bytes`, `lobby/wire`, `sync/wire`, `relay/wire`) | ✓ | ✓ | – |
 //! | transport (`net/{udp,sim,transport,netem}`, `lobby/{server,client,lib}`, `relay/{server,client,udp,lib}`) | ✓ | – | – |
-//! | hot path (`sync/{session,consistency,snapshot,delta,pool,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
+//! | hot path (`sync/{session,consistency,snapshot,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
 //!
 //! ‡ `hot_alloc` applies to exactly the modules PRs 4–5 made alloc-free
 //! plus the relay's per-datagram fan-out, the frame-step path headless
 //! resimulation runs through, and the dirty-page bitmap every checkpoint
 //! and rollback walks:
-//! `sync/{session,consistency,snapshot,delta,sync_input}.rs`,
+//! `sync/{session,consistency,snapshot,sync_input}.rs`,
 //! `vm/{cpu,predecode,console,audio,dirty}.rs`, `relay/src/server.rs`.
 //! Wire/transport code must be
 //! panic-free on arbitrary bytes (typed errors only); hot-path panics and
@@ -81,8 +81,6 @@ fn hot_panic_zone(rel: &str) -> bool {
         "crates/sync/src/session.rs"
             | "crates/sync/src/consistency.rs"
             | "crates/sync/src/snapshot.rs"
-            | "crates/sync/src/delta.rs"
-            | "crates/sync/src/pool.rs"
             | "crates/sync/src/predict.rs"
             | "crates/sync/src/sync_input.rs"
             | "crates/vm/src/cpu.rs"
@@ -101,7 +99,6 @@ fn hot_alloc_zone(rel: &str) -> bool {
         "crates/sync/src/session.rs"
             | "crates/sync/src/consistency.rs"
             | "crates/sync/src/snapshot.rs"
-            | "crates/sync/src/delta.rs"
             | "crates/vm/src/cpu.rs"
             | "crates/vm/src/predecode.rs"
             | "crates/vm/src/console.rs"
@@ -198,7 +195,6 @@ mod tests {
             "crates/sync/src/session.rs",
             "crates/sync/src/consistency.rs",
             "crates/sync/src/snapshot.rs",
-            "crates/sync/src/delta.rs",
         ] {
             let rules = rules_for(rel);
             for r in Rule::DETERMINISM {
@@ -244,18 +240,6 @@ mod tests {
         assert!(!has("crates/bench/src/bin/hotpath.rs", Rule::WallClock));
         // The bench library proper still may not.
         assert!(has("crates/bench/src/lib.rs", Rule::WallClock));
-    }
-
-    #[test]
-    fn snapshot_fast_path_is_deterministic_core() {
-        // The delta codec and buffer pool rebuild state bytes during
-        // rollback repair; every determinism rule applies to them.
-        for rel in ["crates/sync/src/delta.rs", "crates/sync/src/pool.rs"] {
-            let rules = rules_for(rel);
-            for r in Rule::DETERMINISM {
-                assert!(rules.contains(&r), "{rel} missing {r:?}");
-            }
-        }
     }
 
     #[test]
@@ -310,7 +294,6 @@ mod tests {
             "crates/sync/src/session.rs",
             "crates/sync/src/consistency.rs",
             "crates/sync/src/snapshot.rs",
-            "crates/sync/src/delta.rs",
             "crates/vm/src/cpu.rs",
             "crates/vm/src/predecode.rs",
             "crates/vm/src/console.rs",
@@ -321,11 +304,10 @@ mod tests {
             assert!(has(rel, Rule::PanicPath), "{rel}");
             assert!(has(rel, Rule::HotAlloc), "{rel}");
         }
-        // The rollback pool/predictor are panic-fenced but not alloc-fenced
-        // (the pool's whole job is owning allocations), and the VM's
-        // assembler/framebuffer are outside both zones.
-        assert!(has("crates/sync/src/pool.rs", Rule::PanicPath));
-        assert!(!has("crates/sync/src/pool.rs", Rule::HotAlloc));
+        // The rollback predictor is panic-fenced but not alloc-fenced, and
+        // the VM's assembler/framebuffer are outside both zones.
+        assert!(has("crates/sync/src/predict.rs", Rule::PanicPath));
+        assert!(!has("crates/sync/src/predict.rs", Rule::HotAlloc));
         assert!(!has("crates/vm/src/assembler.rs", Rule::PanicPath));
         assert!(!has("crates/vm/src/assembler.rs", Rule::HotAlloc));
     }

@@ -13,7 +13,7 @@ use coplay_net::bytes::{Buf, BytesMut};
 use coplay_net::PeerId;
 
 const MAGIC: u8 = 0xC6;
-const VERSION: u8 = 4;
+const VERSION: u8 = 5;
 
 /// Longest session name accepted.
 pub const MAX_NAME: usize = 64;
@@ -95,18 +95,12 @@ pub enum LobbyMessage {
         resimulated_frames: u64,
         /// Deepest single rollback, in frames.
         max_rollback_depth: u64,
-        /// Checkpoint delta-vs-full compression ratio in thousandths
-        /// (4000 = the snapshot ring stores 4x less than full copies;
-        /// zero until the host reports one).
-        compression_ratio_milli: u64,
         /// Cumulative bytes the snapshot ring actually captured — the
         /// dirty-page subsets, not the full images they stand in for.
         snapshot_bytes_saved: u64,
         /// Cumulative bytes copied back by bitmap-guided rollback
         /// restores (full-image bytes for saturated restores).
         snapshot_bytes_restored: u64,
-        /// Cumulative snapshot buffer-pool reuse hits on the host.
-        pool_hits: u64,
         /// Telemetry events evicted from the host's flight-recorder ring
         /// before they could be drained or dumped.
         dropped_events: u64,
@@ -260,10 +254,8 @@ impl LobbyMessage {
                 rollbacks,
                 resimulated_frames,
                 max_rollback_depth,
-                compression_ratio_milli,
                 snapshot_bytes_saved,
                 snapshot_bytes_restored,
-                pool_hits,
                 dropped_events,
                 dropped_spans,
             } => {
@@ -272,10 +264,8 @@ impl LobbyMessage {
                 b.put_u64_le(*rollbacks);
                 b.put_u64_le(*resimulated_frames);
                 b.put_u64_le(*max_rollback_depth);
-                b.put_u64_le(*compression_ratio_milli);
                 b.put_u64_le(*snapshot_bytes_saved);
                 b.put_u64_le(*snapshot_bytes_restored);
-                b.put_u64_le(*pool_hits);
                 b.put_u64_le(*dropped_events);
                 b.put_u64_le(*dropped_spans);
             }
@@ -390,16 +380,14 @@ impl LobbyMessage {
                 }
             }
             ty::HEARTBEAT => {
-                need!(4 + 8 * 9);
+                need!(4 + 8 * 7);
                 LobbyMessage::Heartbeat {
                     id: SessionId(b.get_u32_le()),
                     rollbacks: b.get_u64_le(),
                     resimulated_frames: b.get_u64_le(),
                     max_rollback_depth: b.get_u64_le(),
-                    compression_ratio_milli: b.get_u64_le(),
                     snapshot_bytes_saved: b.get_u64_le(),
                     snapshot_bytes_restored: b.get_u64_le(),
-                    pool_hits: b.get_u64_le(),
                     dropped_events: b.get_u64_le(),
                     dropped_spans: b.get_u64_le(),
                 }
@@ -490,10 +478,8 @@ mod tests {
                 rollbacks: 12,
                 resimulated_frames: 48,
                 max_rollback_depth: 9,
-                compression_ratio_milli: 4200,
                 snapshot_bytes_saved: 96_000,
                 snapshot_bytes_restored: 12_000,
-                pool_hits: 512,
                 dropped_events: 17,
                 dropped_spans: 5,
             },

@@ -89,8 +89,6 @@ pub struct Speculative<P = RepeatLast> {
     rollback_dirty: DirtyPages,
     /// Reusable restore buffer for checkpoint reconstruction.
     restore_buf: Vec<u8>,
-    /// Pool hits already published to the telemetry counter.
-    pool_hits_reported: u64,
     /// Decode-cache totals already published to telemetry (the report
     /// event carries deltas against this).
     interp_reported: InterpStats,
@@ -130,7 +128,6 @@ impl<P: InputPredictor> Speculative<P> {
             rollback_dirty: DirtyPages::default(),
             // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
             restore_buf: Vec::new(),
-            pool_hits_reported: 0,
             interp_reported: InterpStats::default(),
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
             used: BTreeMap::new(),
@@ -177,17 +174,6 @@ impl<P: InputPredictor> Speculative<P> {
         // writes were.
         telemetry.counter_add("snapshot_bytes_saved_total", report.dirty_bytes as u64);
         telemetry.observe("dirty_pages_per_frame", report.dirty_pages as u64);
-        // How much smaller delta storage keeps checkpoints than full
-        // copies, in thousandths (4000 = 4× smaller).
-        telemetry.gauge_set(
-            "checkpoint_compression_ratio_milli",
-            self.ring.compression().ratio_milli() as i64,
-        );
-        let hits = self.ring.pool_stats().hits;
-        if hits > self.pool_hits_reported {
-            telemetry.counter_add("snapshot_pool_hits_total", hits - self.pool_hits_reported);
-            self.pool_hits_reported = hits;
-        }
         if let Some(stats) = machine.interp_stats() {
             let hits = stats.hits.saturating_sub(self.interp_reported.hits);
             let misses = stats.misses.saturating_sub(self.interp_reported.misses);

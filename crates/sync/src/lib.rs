@@ -71,11 +71,9 @@
 
 mod config;
 mod consistency;
-pub mod delta;
 mod error;
 mod input_buffer;
 mod input_source;
-mod pool;
 mod predict;
 mod realtime;
 mod replay;
@@ -92,7 +90,6 @@ pub use consistency::{Consistency, Lockstep, Speculative};
 pub use error::{StopReason, SyncError};
 pub use input_buffer::InputBuffer;
 pub use input_source::{Idle, InputSource, RandomPresser, Scripted};
-pub use pool::{BufferPool, PoolStats};
 pub use predict::{InputPredictor, RepeatLast};
 pub use realtime::{run_realtime, RunOutcome};
 pub use replay::{Recording, ReplayError, CHECKPOINT_INTERVAL};
@@ -100,9 +97,7 @@ pub use rtt::{RttEstimator, DEFAULT_PING_INTERVAL};
 pub use session::{
     FrameReport, LockstepSession, RollbackSession, Session, SessionDriver, Step, JOIN_MARGIN_FRAMES,
 };
-pub use snapshot::{
-    CheckpointInfo, CheckpointReport, CompressionStats, RestoreError, SnapshotRing,
-};
+pub use snapshot::{CheckpointInfo, CheckpointReport, RestoreError, SnapshotRing};
 pub use stats::SessionStats;
 pub use sync_input::{InputSync, MasterObservation, RecvOutcome, OBSERVER_SITE, RETAIN_FRAMES};
 pub use timing::{FrameEnd, FrameTimer};

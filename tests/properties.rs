@@ -444,10 +444,8 @@ fn random_lobby_message(rng: &mut DetRng) -> LobbyMessage {
             rollbacks: rng.next_u64(),
             resimulated_frames: rng.next_u64(),
             max_rollback_depth: rng.next_u64(),
-            compression_ratio_milli: rng.next_u64(),
             snapshot_bytes_saved: rng.next_u64(),
             snapshot_bytes_restored: rng.next_u64(),
-            pool_hits: rng.next_u64(),
             dropped_events: rng.next_u64(),
             dropped_spans: rng.next_u64(),
         },
