@@ -23,14 +23,14 @@
 //! |------|-----------|-----------------|-----------|
 //! | wire codecs (`net/bytes`, `lobby/wire`, `sync/wire`, `relay/wire`) | ✓ | ✓ | – |
 //! | transport (`net/{udp,sim,transport,netem}`, `lobby/{server,client,lib}`, `relay/{server,client,udp,lib}`) | ✓ | – | – |
-//! | hot path (`sync/{session,consistency,snapshot,predict,sync_input}`, `vm/{cpu,predecode,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
+//! | hot path (`sync/{session,consistency,snapshot,predict,sync_input}`, `vm/{cpu,console,audio,dirty}`, `relay/server`) | ✓ | – | ✓‡ |
 //!
 //! ‡ `hot_alloc` applies to exactly the modules PRs 4–5 made alloc-free
 //! plus the relay's per-datagram fan-out, the frame-step path headless
 //! resimulation runs through, and the dirty-page bitmap every checkpoint
 //! and rollback walks:
 //! `sync/{session,consistency,snapshot,sync_input}.rs`,
-//! `vm/{cpu,predecode,console,audio,dirty}.rs`, `relay/src/server.rs`.
+//! `vm/{cpu,console,audio,dirty}.rs`, `relay/src/server.rs`.
 //! Wire/transport code must be
 //! panic-free on arbitrary bytes (typed errors only); hot-path panics and
 //! constructor allocations carry `allow(...) -- <reason>` waivers.
@@ -84,7 +84,6 @@ fn hot_panic_zone(rel: &str) -> bool {
             | "crates/sync/src/predict.rs"
             | "crates/sync/src/sync_input.rs"
             | "crates/vm/src/cpu.rs"
-            | "crates/vm/src/predecode.rs"
             | "crates/vm/src/console.rs"
             | "crates/vm/src/audio.rs"
             | "crates/vm/src/dirty.rs"
@@ -100,7 +99,6 @@ fn hot_alloc_zone(rel: &str) -> bool {
             | "crates/sync/src/consistency.rs"
             | "crates/sync/src/snapshot.rs"
             | "crates/vm/src/cpu.rs"
-            | "crates/vm/src/predecode.rs"
             | "crates/vm/src/console.rs"
             | "crates/vm/src/audio.rs"
             | "crates/vm/src/dirty.rs"
@@ -190,7 +188,6 @@ mod tests {
         for rel in [
             "crates/vm/src/machine.rs",
             "crates/vm/src/cpu.rs",
-            "crates/vm/src/predecode.rs",
             "crates/games/src/pong.rs",
             "crates/sync/src/session.rs",
             "crates/sync/src/consistency.rs",
@@ -295,7 +292,6 @@ mod tests {
             "crates/sync/src/consistency.rs",
             "crates/sync/src/snapshot.rs",
             "crates/vm/src/cpu.rs",
-            "crates/vm/src/predecode.rs",
             "crates/vm/src/console.rs",
             "crates/vm/src/audio.rs",
             "crates/vm/src/dirty.rs",

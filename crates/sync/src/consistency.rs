@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use coplay_clock::SimTime;
 use coplay_telemetry::{EventKind, SpanStage};
-use coplay_vm::{DirtyPages, InputWord, InterpStats, Machine};
+use coplay_vm::{DirtyPages, InputWord, Machine};
 
 use crate::config::{ConsistencyMode, SyncConfig};
 use crate::error::SyncError;
@@ -89,9 +89,6 @@ pub struct Speculative<P = RepeatLast> {
     rollback_dirty: DirtyPages,
     /// Reusable restore buffer for checkpoint reconstruction.
     restore_buf: Vec<u8>,
-    /// Decode-cache totals already published to telemetry (the report
-    /// event carries deltas against this).
-    interp_reported: InterpStats,
     /// Predicted partials actually fed to the machine, per speculated frame
     /// per remote site — the comparison base for misprediction detection.
     used: BTreeMap<u64, BTreeMap<u8, InputWord>>,
@@ -128,7 +125,6 @@ impl<P: InputPredictor> Speculative<P> {
             rollback_dirty: DirtyPages::default(),
             // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
             restore_buf: Vec::new(),
-            interp_reported: InterpStats::default(),
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
             used: BTreeMap::new(),
             // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
@@ -174,26 +170,6 @@ impl<P: InputPredictor> Speculative<P> {
         // writes were.
         telemetry.counter_add("snapshot_bytes_saved_total", report.dirty_bytes as u64);
         telemetry.observe("dirty_pages_per_frame", report.dirty_pages as u64);
-        if let Some(stats) = machine.interp_stats() {
-            let hits = stats.hits.saturating_sub(self.interp_reported.hits);
-            let misses = stats.misses.saturating_sub(self.interp_reported.misses);
-            let flushes = stats.flushes.saturating_sub(self.interp_reported.flushes);
-            let fused = stats
-                .fused_hits
-                .saturating_sub(self.interp_reported.fused_hits);
-            if hits | misses | flushes | fused != 0 {
-                telemetry.record(
-                    now,
-                    EventKind::DecodeCacheReport {
-                        hits,
-                        misses,
-                        flushes,
-                        fused,
-                    },
-                );
-                self.interp_reported = stats;
-            }
-        }
     }
 
     /// Checkpoints the state before `frame` unless the ring already holds

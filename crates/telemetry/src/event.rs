@@ -167,22 +167,6 @@ pub enum EventKind {
         /// The evicted member's site number.
         site: u8,
     },
-    /// Periodic report of the machine's interpreter decode-cache activity.
-    /// All fields are deltas since the previous report, so summing events
-    /// reconstructs the session totals (and flushes spiking alongside
-    /// misses is the signature of self-modifying code defeating the cache).
-    DecodeCacheReport {
-        /// Instructions dispatched from a warm cache slot since last report.
-        hits: u64,
-        /// Instructions that needed a fresh decode since last report.
-        misses: u64,
-        /// Whole-cache flushes (image loads / state restores) since last
-        /// report.
-        flushes: u64,
-        /// Fused-pair dispatches (each retired two instructions) since last
-        /// report — fusion coverage per session at a glance.
-        fused: u64,
-    },
 }
 
 impl EventKind {
@@ -210,7 +194,6 @@ impl EventKind {
             EventKind::Span { .. } => "span",
             EventKind::RelayRegistered { .. } => "relay_registered",
             EventKind::RelayEvicted { .. } => "relay_evicted",
-            EventKind::DecodeCacheReport { .. } => "decode_cache_report",
         }
     }
 }
@@ -336,17 +319,6 @@ impl Event {
             EventKind::RelayEvicted { session, site } => {
                 let _ = write!(out, ",\"session\":{session},\"site\":{site}");
             }
-            EventKind::DecodeCacheReport {
-                hits,
-                misses,
-                flushes,
-                fused,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"hits\":{hits},\"misses\":{misses},\"flushes\":{flushes},\"fused\":{fused}"
-                );
-            }
         }
         out.push('}');
     }
@@ -449,12 +421,6 @@ mod tests {
             EventKind::RelayEvicted {
                 session: 7,
                 site: 1,
-            },
-            EventKind::DecodeCacheReport {
-                hits: 100_000,
-                misses: 12,
-                flushes: 1,
-                fused: 40_000,
             },
         ];
         for kind in kinds {

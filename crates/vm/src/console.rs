@@ -13,7 +13,6 @@ use crate::hash::StateHasher;
 use crate::input::InputWord;
 use crate::isa::Syscall;
 use crate::machine::{Machine, MachineInfo, StateError, StepMode};
-use crate::predecode::{InterpMode, InterpStats};
 use crate::rom::Rom;
 use crate::video::{Color, FrameBuffer};
 
@@ -96,19 +95,6 @@ impl Console {
     pub fn with_cycle_budget(mut self, cycles: u32) -> Console {
         self.cycles_per_frame = cycles.max(1);
         self
-    }
-
-    /// Selects the interpreter loop (default [`InterpMode::Predecoded`]).
-    /// The mode survives [`Machine::reset`] and never affects game state —
-    /// both loops are byte-for-byte equivalent.
-    pub fn with_interp_mode(mut self, mode: InterpMode) -> Console {
-        self.cpu.set_interp_mode(mode);
-        self
-    }
-
-    /// The interpreter loop this board runs.
-    pub fn interp_mode(&self) -> InterpMode {
-        self.cpu.interp_mode()
     }
 
     /// The inserted cartridge.
@@ -245,9 +231,7 @@ impl Machine for Console {
     }
 
     fn reset(&mut self) {
-        let mode = self.cpu.interp_mode();
         self.cpu = Cpu::new(self.rom.entry(), self.rom.seed());
-        self.cpu.set_interp_mode(mode);
         self.cpu.load_image(self.rom.image());
         self.fb = FrameBuffer::standard();
         self.fb.enable_dirty_tracking();
@@ -367,8 +351,8 @@ impl Machine for Console {
         self.fb.load_pixels(&bytes[FB_OFF..expected]);
         // A full load re-baselines the machine against an arbitrary
         // snapshot: any reference buffer a dirty-capture caller holds is
-        // now potentially stale everywhere, so saturate the accumulators.
-        self.cpu.mark_all_dirty();
+        // now potentially stale everywhere, so saturate the accumulators
+        // (`restore_mem_full` already saturated the CPU's).
         self.audio.mark_dirty();
         self.fb.mark_all_dirty();
         Ok(())
@@ -477,10 +461,6 @@ impl Machine for Console {
             }
         }
         Ok(())
-    }
-
-    fn interp_stats(&self) -> Option<InterpStats> {
-        Some(self.cpu.interp_stats())
     }
 }
 

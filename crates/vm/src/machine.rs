@@ -12,7 +12,6 @@ use std::fmt;
 
 use crate::dirty::DirtyPages;
 use crate::input::InputWord;
-use crate::predecode::InterpStats;
 use crate::video::FrameBuffer;
 
 /// Static facts about a machine (the "ROM header").
@@ -76,6 +75,16 @@ impl fmt::Display for StateError {
 }
 
 impl Error for StateError {}
+
+/// Interpreter statistics a [`Machine`] may report through
+/// [`Machine::interp_stats`]. No machine in this workspace reports any:
+/// the type stays only because `e2e-bench` still names it and reads
+/// `flushes`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InterpStats {
+    /// Whole-table flushes of an interpreter cache.
+    pub flushes: u64,
+}
 
 /// How a frame's output will be used, letting machines skip presentation
 /// work for frames nobody will ever see.
@@ -278,10 +287,9 @@ pub trait Machine {
         self.load_state(bytes)
     }
 
-    /// Cumulative interpreter decode-cache statistics, for machines that
-    /// run on a predecoded-dispatch interpreter (the [`crate::Console`]).
-    /// Observability only — never part of the state hash. `None` for
-    /// machines without an interpreter cache.
+    /// Interpreter statistics, for a machine that keeps any. No machine
+    /// in this workspace does, so every one returns the default `None`;
+    /// the method stays only because `e2e-bench` still forwards it.
     fn interp_stats(&self) -> Option<InterpStats> {
         None
     }
