@@ -483,12 +483,6 @@ fn main() {
             .map(|m| m.ns_per_op)
     };
     for name in ["ROM Pong", "Button Race"] {
-        // The repair budget: headless resimulation of the 8-frame repair
-        // window at under a microsecond per frame.
-        if let Some(ns) = ns_of(&format!("{name}/repair_headless")) {
-            let verdict = if ns < 1000 { "within" } else { "OVER" };
-            println!("{name}/repair_headless: {ns} ns/frame ({verdict} the 1 us/frame budget)");
-        }
         // Dirty-page checkpointing budgets: a checkpoint capture in
         // 300 ns and a same-session bitmap-guided restore in 1 us.
         if let Some(ns) = ns_of(&format!("{name}/checkpoint_dirty")) {

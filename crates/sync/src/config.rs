@@ -94,7 +94,9 @@ pub struct SyncConfig {
     pub cfps: u32,
     /// Minimum interval between outbound sync messages. The paper's
     /// implementation buffers outbound messages and sends one per 20 ms
-    /// (§4.2's "10ms average, 20ms worst-case" term).
+    /// (§4.2's "10ms average, 20ms worst-case" term). One exception: a
+    /// speculative site sends a frame whose local input changed in the
+    /// tick that buffers it, and paces the next send from that one.
     pub send_interval: SimDuration,
     /// How often a blocked `SyncInput` re-polls the network when no packet
     /// wakes it first.

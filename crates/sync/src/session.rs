@@ -487,7 +487,14 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                             self.stats.pace_adjustments += 1;
                         }
                         let local = self.source.sample(self.frame);
-                        self.sync.begin_frame(self.frame, local, now);
+                        let changed = self.sync.begin_frame(self.frame, local, now);
+                        // A rollback session's peers mispredict every input
+                        // change and repair once it arrives, so on a
+                        // speculative site a change leaves in this tick
+                        // instead of waiting out the send pacing.
+                        if changed && self.policy.speculative().is_some() {
+                            self.sync.expedite_send(now);
+                        }
                         if let Some(server) = self.time_server {
                             let stamp = Message::TimeStamp {
                                 site: self.cfg.my_site,
@@ -911,10 +918,10 @@ impl<M, T, S, C> std::fmt::Debug for Session<M, T, S, C> {
 mod tests {
     use super::*;
     use crate::config::ConsistencyMode;
-    use crate::input_source::{Idle, RandomPresser};
+    use crate::input_source::{Idle, RandomPresser, Scripted};
     use crate::wire::InputMsg;
     use coplay_clock::VirtualClock;
-    use coplay_net::{loopback, LoopbackTransport, NetemConfig, SimNetwork};
+    use coplay_net::{loopback, LoopbackTransport, NetemConfig, SimNetwork, SimSocket};
     use coplay_telemetry::Telemetry;
     use coplay_vm::{FrameBuffer, MachineInfo, NullMachine, Player, StateError};
     use std::cell::Cell;
@@ -1364,5 +1371,115 @@ mod tests {
             replay.step_frame(a.sync().merged_input(f));
         }
         assert_eq!(state, replay.save_state(), "served state is authoritative");
+    }
+
+    /// The frame whose begin changes site 0's scripted input: odd, so its
+    /// begin falls inside the 20 ms send interval that frame 4's paced
+    /// send opened (frames are 16.7 ms apart). Frame f buffers the input
+    /// for frame f + 6, the default local lag.
+    const CHANGE_FRAME: u64 = 5;
+
+    /// Runs site 0 under policy `C` for frames 0..=10 with its input idle
+    /// before [`CHANGE_FRAME`] and pressed from it on. Site 1 is played by
+    /// hand and sends its idle inputs up front, so nothing stalls and
+    /// nothing is predicted. Returns `(frame, newest input frame carried)`
+    /// for each datagram sent in the tick that ran `frame`. Frame 0 runs
+    /// in the handshake tick, whose datagrams `join_as_site_1` discards.
+    fn sends_by_frame<C: Consistency>(
+        new: New<C, Scripted>,
+        mode: ConsistencyMode,
+    ) -> Vec<(u64, u64)> {
+        let (ta, mut tb) = loopback(PeerId(0), PeerId(1));
+        let pressed = SyncConfig::two_player(0)
+            .port_map
+            .partial_input(0, InputWord(u32::MAX));
+        let mut script = vec![InputWord::NONE; CHANGE_FRAME as usize];
+        script.resize(11, pressed);
+        let mut a = new(cfg(0, mode), NullMachine::new(), ta, Scripted::new(script));
+        join_as_site_1(&mut a, &mut tb);
+        send_site_1_inputs(&mut tb, 6, vec![InputWord::NONE; 30]);
+        let mut sends = Vec::new();
+        let mut now = SimTime::ZERO;
+        loop {
+            let step = a.tick(now).unwrap();
+            while let Some((_, data)) = tb.try_recv().unwrap() {
+                if let Ok(Message::Input(m)) = Message::decode(&data) {
+                    sends.push((a.frame(), m.last()));
+                }
+            }
+            match step {
+                Step::Wait(t) => now = t,
+                Step::FrameDone { report, .. } if report.frame == 10 => break,
+                Step::FrameDone { next_wake, .. } => now = next_wake,
+                Step::Stopped(r) => panic!("unexpected stop: {r}"),
+            }
+        }
+        assert_eq!(a.stats().rollbacks, 0);
+        sends
+    }
+
+    #[test]
+    fn speculative_site_sends_a_changed_input_in_the_same_tick() {
+        // Frame 5 sends its change for frame 11 at once, inside the
+        // interval frame 4's send opened; the unchanged frames 3 and 6
+        // fall inside an interval and send nothing, and the cadence
+        // restarts from frame 5's send.
+        let sends = sends_by_frame(RollbackSession::new, ConsistencyMode::rollback());
+        assert_eq!(sends, [(2, 8), (4, 10), (5, 11), (7, 13), (9, 15)]);
+    }
+
+    #[test]
+    fn lockstep_site_keeps_the_paced_cadence() {
+        // The same script: the change for frame 11 waits for frame 6's
+        // paced send.
+        let sends = sends_by_frame(LockstepSession::new, ConsistencyMode::Lockstep);
+        assert_eq!(sends, [(2, 8), (4, 10), (6, 12), (8, 14), (10, 16)]);
+    }
+
+    type SimSess<C> = Session<NullMachine, SimSocket, RandomPresser, C>;
+
+    /// Runs a pair under policy `C` over a lossy 80 ms-RTT simulated link
+    /// for 300 frames, checks that the replicas agree, and returns how
+    /// often each site's input sends were expedited.
+    fn expedited_over_a_lossy_link<C: Consistency>(
+        new: fn(SyncConfig, NullMachine, SimSocket, RandomPresser) -> SimSess<C>,
+        mode: ConsistencyMode,
+    ) -> [u64; 2] {
+        let clock = VirtualClock::new();
+        let net = SimNetwork::shared(clock.clone());
+        let link = NetemConfig::with_rtt(SimDuration::from_millis(80))
+            .jitter(SimDuration::from_millis(8))
+            // detlint: allow(float) -- the test link's loss rate, not game state
+            .loss(0.05);
+        SimNetwork::link_pair(&net, PeerId(0), PeerId(1), link, 3);
+        let mut sites = [(0, Player::ONE), (1, Player::TWO)].map(|(site, player)| {
+            let cfg = SyncConfig {
+                telemetry: Telemetry::recording(),
+                ..cfg(site, mode)
+            };
+            new(
+                cfg,
+                NullMachine::new(),
+                SimNetwork::socket(&net, PeerId(site)),
+                RandomPresser::new(player, u64::from(site) + 1),
+            )
+        });
+        let [ca, cb] = run_pair_with(&mut sites, 300, |now| {
+            clock.set(now);
+            net.borrow_mut().deliver_due(now);
+        });
+        let common = ca.len().min(cb.len());
+        assert!(common >= 200);
+        assert_eq!(ca[..common], cb[..common], "replicas diverged");
+        sites.map(|s| s.config().telemetry.counter("input_sends_expedited_total"))
+    }
+
+    #[test]
+    fn only_speculative_sites_expedite_sends() {
+        let rollback =
+            expedited_over_a_lossy_link(RollbackSession::new, ConsistencyMode::rollback());
+        assert!(rollback.iter().all(|&n| n > 0), "{rollback:?}");
+        let lockstep = expedited_over_a_lossy_link(LockstepSession::new, ConsistencyMode::Lockstep);
+        assert_eq!(lockstep, [0, 0]);
     }
 }

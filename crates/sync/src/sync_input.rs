@@ -206,19 +206,38 @@ impl InputSync {
     /// Lines 1–5: buffer the local partial input for `frame + BufFrame`.
     ///
     /// Call exactly once per frame, before polling. `now` only stamps the
-    /// trace span.
-    pub fn begin_frame(&mut self, frame: u64, local: InputWord, now: SimTime) {
+    /// trace span. Returns `true` if the partial it buffered differs from
+    /// the one buffered before it: a peer that predicts this site's input
+    /// by repeating the last word is wrong about exactly these frames.
+    pub fn begin_frame(&mut self, frame: u64, local: InputWord, now: SimTime) -> bool {
         debug_assert_eq!(frame, self.pointer, "one begin_frame per frame");
-        if self.is_player() {
-            let lag_f = frame + self.cfg.buf_frames;
-            if self.my_last_buffered < lag_f {
-                let partial = self.cfg.port_map.partial_input(self.cfg.my_site, local);
-                self.buf.set_partial(lag_f, self.cfg.my_site, partial);
-                self.my_last_buffered = lag_f;
-                self.cfg
-                    .telemetry
-                    .span(now, SpanStage::Sampled, lag_f, self.cfg.my_site);
-            }
+        if !self.is_player() {
+            return false;
+        }
+        let lag_f = frame + self.cfg.buf_frames;
+        if self.my_last_buffered >= lag_f {
+            return false;
+        }
+        let my_site = self.cfg.my_site;
+        let partial = self.cfg.port_map.partial_input(my_site, local);
+        let changed = partial != self.buf.partial(self.my_last_buffered, my_site);
+        self.buf.set_partial(lag_f, my_site, partial);
+        self.my_last_buffered = lag_f;
+        self.cfg
+            .telemetry
+            .span(now, SpanStage::Sampled, lag_f, my_site);
+        changed
+    }
+
+    /// Lets the next [`InputSync::outgoing`] send even inside the send
+    /// interval; the interval then restarts from that send. Counted in
+    /// `input_sends_expedited_total` when it lifts a pacing that held.
+    pub(crate) fn expedite_send(&mut self, now: SimTime) {
+        if now < self.next_send {
+            self.next_send = now;
+            self.cfg
+                .telemetry
+                .counter_add("input_sends_expedited_total", 1);
         }
     }
 
@@ -303,7 +322,7 @@ impl InputSync {
             // detlint: allow(hot_alloc) -- empty Vec::new() does not touch the heap
             return Vec::new();
         }
-        // detlint: allow(hot_alloc) -- non-empty only on paced sends, a few times per second
+        // detlint: allow(hot_alloc) -- non-empty only on paced sends and expedited ones (at most one per frame)
         let mut out = Vec::new();
         let my_site = self.cfg.my_site;
         let my_last = self.my_last_buffered;
