@@ -12,15 +12,13 @@
 //! Run: `cargo run --release -p coplay-bench --bin fig1 [--quick]`
 
 use coplay_bench::{banner, figure1_json, write_results_json, Options};
-use coplay_sim::{
-    format_figure1, paper_rtt_points, run_sweep_parallel, threshold_rtt, ExperimentConfig,
-};
+use coplay_sim::{format_figure1, paper_rtt_points, run_sweep, threshold_rtt, ExperimentConfig};
 
 fn main() {
     let opts = Options::from_env();
     banner("Figure 1 — Frame rates and smoothness vs RTT", &opts);
     let base = opts.apply(ExperimentConfig::default());
-    let rows = run_sweep_parallel(
+    let rows = run_sweep(
         &base,
         &paper_rtt_points(),
         opts.sweep_threads(),

@@ -11,13 +11,13 @@
 //! Run: `cargo run --release -p coplay-bench --bin fig2 [--quick]`
 
 use coplay_bench::{banner, figure2_json, write_results_json, Options};
-use coplay_sim::{format_figure2, paper_rtt_points, run_sweep_parallel, ExperimentConfig};
+use coplay_sim::{format_figure2, paper_rtt_points, run_sweep, ExperimentConfig};
 
 fn main() {
     let opts = Options::from_env();
     banner("Figure 2 — Synchrony between two sites vs RTT", &opts);
     let base = opts.apply(ExperimentConfig::default());
-    let rows = run_sweep_parallel(
+    let rows = run_sweep(
         &base,
         &paper_rtt_points(),
         opts.sweep_threads(),

@@ -482,18 +482,6 @@ fn main() {
             .find(|m| m.key == key)
             .map(|m| m.ns_per_op)
     };
-    for name in ["ROM Pong", "Button Race"] {
-        // Dirty-page checkpointing budgets: a checkpoint capture in
-        // 300 ns and a same-session bitmap-guided restore in 1 us.
-        if let Some(ns) = ns_of(&format!("{name}/checkpoint_dirty")) {
-            let verdict = if ns <= 300 { "within" } else { "OVER" };
-            println!("{name}/checkpoint_dirty: {ns} ns/op ({verdict} the 0.3 us capture budget)");
-        }
-        if let Some(ns) = ns_of(&format!("{name}/restore_dirty")) {
-            let verdict = if ns <= 1000 { "within" } else { "OVER" };
-            println!("{name}/restore_dirty: {ns} ns/op ({verdict} the 1 us restore budget)");
-        }
-    }
     if let (Some(off), Some(on)) = (
         ns_of("telemetry/span_tracing_off"),
         ns_of("telemetry/span_tracing_on"),

@@ -15,7 +15,7 @@
 //! Run: `cargo run --release -p coplay-bench --bin rollback_sweep [--quick]`
 
 use coplay_bench::{banner, rollback_json, write_results_json, Options};
-use coplay_sim::{paper_rtt_points, run_sweep_parallel, ExperimentConfig};
+use coplay_sim::{paper_rtt_points, run_sweep, ExperimentConfig};
 use coplay_sync::ConsistencyMode;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
 
     let lockstep_base = opts.apply(ExperimentConfig::default());
     eprintln!("lockstep sweep:");
-    let lockstep = run_sweep_parallel(&lockstep_base, &paper_rtt_points(), threads, |rtt, r| {
+    let lockstep = run_sweep(&lockstep_base, &paper_rtt_points(), threads, |rtt, r| {
         eprintln!(
             "  rtt {:3}ms: frame {:6.2}ms, dev {:5.2}ms, converged {}",
             rtt.as_millis(),
@@ -39,7 +39,7 @@ fn main() {
     let mut rollback_base = lockstep_base.clone();
     rollback_base.consistency = ConsistencyMode::rollback();
     eprintln!("rollback sweep:");
-    let rollback = run_sweep_parallel(&rollback_base, &paper_rtt_points(), threads, |rtt, r| {
+    let rollback = run_sweep(&rollback_base, &paper_rtt_points(), threads, |rtt, r| {
         let rolls: u64 = r.session_stats.iter().map(|s| s.rollbacks).sum();
         let resim: u64 = r.session_stats.iter().map(|s| s.resimulated_frames).sum();
         eprintln!(

@@ -11,7 +11,7 @@
 
 use coplay_bench::{banner, Options};
 use coplay_clock::SimDuration;
-use coplay_sim::{run_sweep_parallel, threshold_rtt, ExperimentConfig};
+use coplay_sim::{run_sweep, threshold_rtt, ExperimentConfig};
 
 fn main() {
     let opts = Options::from_env();
@@ -28,8 +28,8 @@ fn main() {
         let mut base = opts.apply(ExperimentConfig::default());
         base.send_interval = SimDuration::from_millis(send_ms);
         base.tx_slice = SimDuration::from_millis(slice_ms);
-        let rows = run_sweep_parallel(&base, &points, opts.sweep_threads(), |_, _| {})
-            .expect("sweep failed");
+        let rows =
+            run_sweep(&base, &points, opts.sweep_threads(), |_, _| {}).expect("sweep failed");
         let measured = threshold_rtt(&rows, 1_000.0 / 60.0, 0.5)
             .map(|t| t.as_millis() as i64)
             .unwrap_or(-1);

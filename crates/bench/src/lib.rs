@@ -3,7 +3,6 @@
 //! Every figure and extension experiment from DESIGN.md §4 has a binary in
 //! `src/bin/`; they share the small argument parser and formatting helpers
 //! here, and `hotpath` and `fleet` share the baseline guard ([`Guard`]).
-//! Micro-benchmarks live in `benches/micro.rs`.
 
 use std::path::{Path, PathBuf};
 
@@ -411,7 +410,7 @@ mod tests {
             coplay_clock::SimDuration::ZERO,
             coplay_clock::SimDuration::from_millis(40),
         ];
-        coplay_sim::run_sweep(&base, &points, |_, _| {}).unwrap()
+        coplay_sim::run_sweep(&base, &points, 1, |_, _| {}).unwrap()
     }
 
     #[test]
@@ -465,7 +464,7 @@ mod tests {
             coplay_clock::SimDuration::ZERO,
             coplay_clock::SimDuration::from_millis(40),
         ];
-        let rollback = coplay_sim::run_sweep(&base, &points, |_, _| {}).unwrap();
+        let rollback = coplay_sim::run_sweep(&base, &points, 1, |_, _| {}).unwrap();
         let json = rollback_json(&opts, &lockstep, &rollback);
         assert!(json.contains("\"figure\": \"rollback\""));
         assert!(json.contains("\"lockstep\": {"));

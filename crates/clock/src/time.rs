@@ -225,12 +225,6 @@ impl SimDelta {
     pub const fn abs(self) -> SimDuration {
         SimDuration(self.0.unsigned_abs())
     }
-
-    /// Clamps the delta into `[-limit, +limit]`.
-    pub fn clamp_abs(self, limit: SimDuration) -> SimDelta {
-        let lim = limit.0.min(i64::MAX as u64) as i64;
-        SimDelta(self.0.clamp(-lim, lim))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -405,23 +399,6 @@ mod tests {
         );
         assert_eq!(SimDuration::from_nanos_rounded(499).as_micros(), 0);
         assert_eq!(SimDuration::from_nanos_rounded(500).as_micros(), 1);
-    }
-
-    #[test]
-    fn delta_clamp_abs() {
-        let lim = SimDuration::from_micros(10);
-        assert_eq!(
-            SimDelta::from_micros(-50).clamp_abs(lim),
-            SimDelta::from_micros(-10)
-        );
-        assert_eq!(
-            SimDelta::from_micros(50).clamp_abs(lim),
-            SimDelta::from_micros(10)
-        );
-        assert_eq!(
-            SimDelta::from_micros(5).clamp_abs(lim),
-            SimDelta::from_micros(5)
-        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The lint suite's command-line driver, shared by the `detlint` and
-//! `coplay-lint` binaries.
+//! The lint suite's command-line driver, run by the `detlint` binary.
 //!
 //! One run executes every pass: the determinism rules, the panic-path and
 //! allocation fences, waiver hygiene (`bad_suppression`/`stale_suppression`),
@@ -12,8 +11,8 @@ use std::path::{Path, PathBuf};
 use crate::{lint_workspace, wire_schema};
 
 const USAGE: &str = "coplay-lint — static analysis suite for the coplay workspace\n\n\
-USAGE: coplay-lint [--root <workspace>] [--json <report path>]\n\
-                   [--schema <lockfile>] [--check-schema | --update-schema]\n\n\
+USAGE: detlint [--root <workspace>] [--json <report path>]\n\
+               [--schema <lockfile>] [--check-schema | --update-schema]\n\n\
 Passes:\n\
   determinism   wall clocks, unordered containers, floats, entropy,\n\
                 mutable statics (per-path policy in src/policy.rs)\n\

@@ -1,5 +1,5 @@
-//! `detlint` — the suite's original name, kept so existing invocations and
-//! CI steps keep working. Identical to the `coplay-lint` binary.
+//! `detlint` — runs the coplay-lint suite (determinism, panic-path,
+//! hot-alloc, waiver hygiene, wire-schema drift) over the workspace.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

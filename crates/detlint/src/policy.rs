@@ -13,7 +13,7 @@
 //! | everything else scanned | ✓† | – | – | ✓ | – |
 //!
 //! \* `crates/net/src/rng.rs` itself is exempt from `entropy` (it is the
-//! sanctioned randomness source). † tests, examples, benches, and the
+//! sanctioned randomness source). † tests, examples, and the
 //! experiment binaries in `crates/bench/src/bin/` may read real clocks —
 //! they drive and time the system, they are not inside it.
 //!
@@ -142,11 +142,10 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
             rules.push(Rule::Float);
         }
     } else {
-        // Clock and net own the real-time boundary; benches and the
-        // experiment/hotpath binaries time themselves.
+        // Clock and net own the real-time boundary; the experiment/hotpath
+        // binaries time themselves.
         let clock_exempt = rel.starts_with("crates/clock/")
             || rel.starts_with("crates/net/")
-            || rel.starts_with("crates/bench/benches/")
             || rel.starts_with("crates/bench/src/bin/")
             // The relay's socket loop and binary serve live clients on the
             // wall clock; the sans-io core stays fenced.
@@ -233,7 +232,6 @@ mod tests {
     fn harness_code_may_time_itself() {
         assert!(!has("tests/convergence.rs", Rule::WallClock));
         assert!(!has("examples/headless.rs", Rule::WallClock));
-        assert!(!has("crates/bench/benches/micro.rs", Rule::WallClock));
         assert!(!has("crates/bench/src/bin/hotpath.rs", Rule::WallClock));
         // The bench library proper still may not.
         assert!(has("crates/bench/src/lib.rs", Rule::WallClock));

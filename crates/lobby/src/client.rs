@@ -1,7 +1,7 @@
 //! Blocking convenience clients for hosts and joiners.
 //!
 //! Wraps the request/retransmit/response dance over any [`Transport`]: a
-//! host registers and heartbeats; a joiner lists and claims a slot. Each
+//! host registers; a joiner lists and claims a slot. Each
 //! call retransmits its request until answered or a deadline passes —
 //! correct over lossy links because every lobby request is idempotent.
 

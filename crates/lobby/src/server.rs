@@ -26,19 +26,6 @@ struct Registration {
     /// Peers granted slots, in join order (index+1 = site number).
     members: Vec<PeerId>,
     last_seen: SimTime,
-    /// Cumulative health counters from the host's latest heartbeat
-    /// (zero until one arrives, and always zero for lockstep sessions).
-    rollbacks: u64,
-    resimulated_frames: u64,
-    max_rollback_depth: u64,
-    /// Cumulative dirty-checkpoint bytes captured and bytes copied back by
-    /// bitmap-guided restores, from the host's latest heartbeat.
-    snapshot_bytes_saved: u64,
-    snapshot_bytes_restored: u64,
-    /// Flight-recorder eviction counters from the host's latest heartbeat:
-    /// total telemetry events lost and the trace-span subset.
-    dropped_events: u64,
-    dropped_spans: u64,
 }
 
 /// The lobby registry. Feed it decoded requests; it answers with replies to
@@ -87,39 +74,6 @@ impl LobbyServer {
     pub fn metrics_text(&mut self) -> String {
         self.metrics
             .gauge_set("sessions", self.sessions.len() as i64);
-        // Aggregate the heartbeat-reported rollback health so an operator
-        // sees at a glance whether any session is repairing heavily.
-        let (mut rb, mut resim, mut depth) = (0u64, 0u64, 0u64);
-        for s in self.sessions.values() {
-            rb += s.rollbacks;
-            resim += s.resimulated_frames;
-            depth = depth.max(s.max_rollback_depth);
-        }
-        self.metrics.gauge_set("session_rollbacks", rb as i64);
-        self.metrics
-            .gauge_set("session_resimulated_frames", resim as i64);
-        self.metrics
-            .gauge_set("session_max_rollback_depth", depth as i64);
-        // Dirty-checkpoint bandwidth: fleet-wide bytes the rings captured
-        // and bytes rollback repairs copied back.
-        let saved: u64 = self.sessions.values().map(|s| s.snapshot_bytes_saved).sum();
-        let restored: u64 = self
-            .sessions
-            .values()
-            .map(|s| s.snapshot_bytes_restored)
-            .sum();
-        self.metrics
-            .gauge_set("session_snapshot_bytes_saved", saved as i64);
-        self.metrics
-            .gauge_set("session_snapshot_bytes_restored", restored as i64);
-        // Observability health: a nonzero span drop count means some host's
-        // trace dumps have holes and tracescope timelines may be partial.
-        let dropped_events: u64 = self.sessions.values().map(|s| s.dropped_events).sum();
-        let dropped_spans: u64 = self.sessions.values().map(|s| s.dropped_spans).sum();
-        self.metrics
-            .gauge_set("session_dropped_events", dropped_events as i64);
-        self.metrics
-            .gauge_set("session_dropped_spans", dropped_spans as i64);
         self.metrics.prometheus("coplay_lobby")
     }
 
@@ -171,13 +125,6 @@ impl LobbyServer {
                         host: from,
                         members: Vec::new(),
                         last_seen: now,
-                        rollbacks: 0,
-                        resimulated_frames: 0,
-                        max_rollback_depth: 0,
-                        snapshot_bytes_saved: 0,
-                        snapshot_bytes_restored: 0,
-                        dropped_events: 0,
-                        dropped_spans: 0,
                     },
                 );
                 vec![(from, LobbyMessage::Registered { id })]
@@ -188,26 +135,10 @@ impl LobbyServer {
                 }
                 Vec::new()
             }
-            LobbyMessage::Heartbeat {
-                id,
-                rollbacks,
-                resimulated_frames,
-                max_rollback_depth,
-                snapshot_bytes_saved,
-                snapshot_bytes_restored,
-                dropped_events,
-                dropped_spans,
-            } => {
+            LobbyMessage::Heartbeat { id } => {
                 if let Some(s) = self.sessions.get_mut(id) {
                     if s.host == from {
                         s.last_seen = now;
-                        s.rollbacks = *rollbacks;
-                        s.resimulated_frames = *resimulated_frames;
-                        s.max_rollback_depth = *max_rollback_depth;
-                        s.snapshot_bytes_saved = *snapshot_bytes_saved;
-                        s.snapshot_bytes_restored = *snapshot_bytes_restored;
-                        s.dropped_events = *dropped_events;
-                        s.dropped_spans = *dropped_spans;
                     }
                 }
                 Vec::new()
@@ -285,19 +216,6 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
-    }
-
-    fn heartbeat(id: SessionId, rollbacks: u64, resim: u64, depth: u64) -> LobbyMessage {
-        LobbyMessage::Heartbeat {
-            id,
-            rollbacks,
-            resimulated_frames: resim,
-            max_rollback_depth: depth,
-            snapshot_bytes_saved: 40_000,
-            snapshot_bytes_restored: 5_000,
-            dropped_events: 6,
-            dropped_spans: 2,
-        }
     }
 
     fn register(server: &mut LobbyServer, host: PeerId, name: &str, slots: u8) -> SessionId {
@@ -386,7 +304,7 @@ mod tests {
         let id = register(&mut server, PeerId(0), "stale", 2);
         server.expire(t(29));
         assert_eq!(server.session_count(), 1);
-        server.handle(PeerId(0), &heartbeat(id, 0, 0, 0), t(29));
+        server.handle(PeerId(0), &LobbyMessage::Heartbeat { id }, t(29));
         server.expire(t(58));
         assert_eq!(server.session_count(), 1, "heartbeat extended the TTL");
         server.expire(t(60));
@@ -408,6 +326,15 @@ mod tests {
         let id = register(&mut server, PeerId(0), "mine", 2);
         server.handle(PeerId(9), &LobbyMessage::Unregister { id }, t(1));
         assert_eq!(server.session_count(), 1, "stranger cannot unregister");
+        // A stranger's heartbeat does not extend the TTL.
+        server.handle(PeerId(9), &LobbyMessage::Heartbeat { id }, t(29));
+        server.expire(t(30));
+        assert_eq!(
+            server.session_count(),
+            0,
+            "stranger's heartbeat was ignored"
+        );
+        let id = register(&mut server, PeerId(0), "mine", 2);
         server.handle(PeerId(0), &LobbyMessage::Unregister { id }, t(1));
         assert_eq!(server.session_count(), 0);
     }
@@ -427,80 +354,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn heartbeat_health_surfaces_in_metrics() {
-        let mut server = LobbyServer::new();
-        let a = register(&mut server, PeerId(0), "rollback room", 2);
-        let b = register(&mut server, PeerId(1), "lockstep room", 2);
-
-        // Before any heartbeat the health gauges read zero.
-        let text = server.metrics_text();
-        assert!(text.contains("coplay_lobby_session_rollbacks 0"), "{text}");
-
-        server.handle(PeerId(0), &heartbeat(a, 5, 20, 7), t(1));
-        server.handle(PeerId(1), &heartbeat(b, 3, 9, 4), t(1));
-        // A stranger's heartbeat must not overwrite the host's report.
-        server.handle(PeerId(9), &heartbeat(a, 999, 999, 999), t(2));
-
-        let text = server.metrics_text();
-        assert!(text.contains("coplay_lobby_session_rollbacks 8"), "{text}");
-        assert!(
-            text.contains("coplay_lobby_session_resimulated_frames 29"),
-            "{text}"
-        );
-        assert!(
-            text.contains("coplay_lobby_session_max_rollback_depth 7"),
-            "{text}"
-        );
-        // Dirty-checkpoint bandwidth sums across hosts: 40k+40k saved,
-        // 5k+5k restored.
-        assert!(
-            text.contains("coplay_lobby_session_snapshot_bytes_saved 80000"),
-            "{text}"
-        );
-        assert!(
-            text.contains("coplay_lobby_session_snapshot_bytes_restored 10000"),
-            "{text}"
-        );
-        // Flight-recorder loss sums across hosts: 6+6 events, 2+2 spans.
-        assert!(
-            text.contains("coplay_lobby_session_dropped_events 12"),
-            "{text}"
-        );
-        assert!(
-            text.contains("coplay_lobby_session_dropped_spans 4"),
-            "{text}"
-        );
-
-        // A third host's report adds to the sums; a session that never
-        // reported contributes nothing.
-        let c = register(&mut server, PeerId(2), "third host", 2);
-        server.handle(
-            PeerId(2),
-            &LobbyMessage::Heartbeat {
-                id: c,
-                rollbacks: 0,
-                resimulated_frames: 0,
-                max_rollback_depth: 0,
-                snapshot_bytes_saved: 7_000,
-                snapshot_bytes_restored: 1_000,
-                dropped_events: 0,
-                dropped_spans: 0,
-            },
-            t(2),
-        );
-        let _ = register(&mut server, PeerId(3), "silent", 2);
-        let text = server.metrics_text();
-        assert!(
-            text.contains("coplay_lobby_session_snapshot_bytes_saved 87000"),
-            "{text}"
-        );
-        assert!(
-            text.contains("coplay_lobby_session_snapshot_bytes_restored 11000"),
-            "{text}"
-        );
     }
 
     #[test]

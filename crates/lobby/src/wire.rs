@@ -13,7 +13,7 @@ use coplay_net::bytes::{Buf, BytesMut};
 use coplay_net::PeerId;
 
 const MAGIC: u8 = 0xC6;
-const VERSION: u8 = 5;
+const VERSION: u8 = 6;
 
 /// Longest session name accepted.
 pub const MAX_NAME: usize = 64;
@@ -81,33 +81,10 @@ pub enum LobbyMessage {
         /// Which session.
         id: SessionId,
     },
-    /// Host: keep the session alive, piggybacking session health.
-    ///
-    /// The counters are cumulative since session start, taken from the
-    /// host's `SessionStats` and snapshot-ring telemetry; all are zero
-    /// for lockstep sessions.
+    /// Host: keep the session alive (a liveness signal only).
     Heartbeat {
         /// Which session.
         id: SessionId,
-        /// Rollback repairs executed by the host so far.
-        rollbacks: u64,
-        /// Frames re-executed across those repairs.
-        resimulated_frames: u64,
-        /// Deepest single rollback, in frames.
-        max_rollback_depth: u64,
-        /// Cumulative bytes the snapshot ring actually captured — the
-        /// dirty-page subsets, not the full images they stand in for.
-        snapshot_bytes_saved: u64,
-        /// Cumulative bytes copied back by bitmap-guided rollback
-        /// restores (full-image bytes for saturated restores).
-        snapshot_bytes_restored: u64,
-        /// Telemetry events evicted from the host's flight-recorder ring
-        /// before they could be drained or dumped.
-        dropped_events: u64,
-        /// The subset of `dropped_events` that were frame-lifecycle trace
-        /// spans — lost tracing fidelity, flagged so an operator knows a
-        /// trace dump from this host has holes.
-        dropped_spans: u64,
     },
     /// Client: list open sessions.
     List,
@@ -249,25 +226,9 @@ impl LobbyMessage {
                 b.put_u8(ty::UNREGISTER);
                 b.put_u32_le(id.0);
             }
-            LobbyMessage::Heartbeat {
-                id,
-                rollbacks,
-                resimulated_frames,
-                max_rollback_depth,
-                snapshot_bytes_saved,
-                snapshot_bytes_restored,
-                dropped_events,
-                dropped_spans,
-            } => {
+            LobbyMessage::Heartbeat { id } => {
                 b.put_u8(ty::HEARTBEAT);
                 b.put_u32_le(id.0);
-                b.put_u64_le(*rollbacks);
-                b.put_u64_le(*resimulated_frames);
-                b.put_u64_le(*max_rollback_depth);
-                b.put_u64_le(*snapshot_bytes_saved);
-                b.put_u64_le(*snapshot_bytes_restored);
-                b.put_u64_le(*dropped_events);
-                b.put_u64_le(*dropped_spans);
             }
             LobbyMessage::List => b.put_u8(ty::LIST),
             LobbyMessage::Listing { sessions } => {
@@ -380,16 +341,9 @@ impl LobbyMessage {
                 }
             }
             ty::HEARTBEAT => {
-                need!(4 + 8 * 7);
+                need!(4);
                 LobbyMessage::Heartbeat {
                     id: SessionId(b.get_u32_le()),
-                    rollbacks: b.get_u64_le(),
-                    resimulated_frames: b.get_u64_le(),
-                    max_rollback_depth: b.get_u64_le(),
-                    snapshot_bytes_saved: b.get_u64_le(),
-                    snapshot_bytes_restored: b.get_u64_le(),
-                    dropped_events: b.get_u64_le(),
-                    dropped_spans: b.get_u64_le(),
                 }
             }
             ty::LIST => LobbyMessage::List,
@@ -473,16 +427,7 @@ mod tests {
             },
             LobbyMessage::Registered { id: SessionId(7) },
             LobbyMessage::Unregister { id: SessionId(7) },
-            LobbyMessage::Heartbeat {
-                id: SessionId(7),
-                rollbacks: 12,
-                resimulated_frames: 48,
-                max_rollback_depth: 9,
-                snapshot_bytes_saved: 96_000,
-                snapshot_bytes_restored: 12_000,
-                dropped_events: 17,
-                dropped_spans: 5,
-            },
+            LobbyMessage::Heartbeat { id: SessionId(7) },
             LobbyMessage::List,
             LobbyMessage::Listing {
                 sessions: vec![

@@ -9,7 +9,7 @@
 //! * [`Transport`] — non-blocking unreliable datagrams (the UDP service
 //!   contract of §3.1).
 //! * [`NetemConfig`] / [`NetemChannel`] — per-packet delay, jitter,
-//!   correlated loss, duplication, reordering, and rate limiting.
+//!   correlated loss, duplication, reordering, and a sender time slice.
 //! * [`SimNetwork`] / [`SimSocket`] — a shared fabric of impaired links in
 //!   virtual time, used by the experiment harness.
 //! * [`UdpTransport`] — real sockets for live play.

@@ -4,11 +4,11 @@
 //! queueing discipline between the two gaming PCs and sweeps the round-trip
 //! time from 0 to 400 ms. This module reproduces netem's per-packet
 //! behaviour — fixed delay, jitter drawn from a distribution, correlated
-//! loss, duplication, reordering, and rate limiting with a bounded queue —
-//! driven by a seeded RNG so whole experiments are reproducible.
+//! loss, duplication and reordering — driven by a seeded RNG so whole
+//! experiments are reproducible.
 //!
-//! A [`NetemChannel`] models **one direction** of a link: feed it a packet
-//! (time + size) and it answers with zero, one, or two delivery times.
+//! A [`NetemChannel`] models **one direction** of a link: feed it a packet's
+//! send time and it answers with zero, one, or two delivery times.
 
 use crate::rng::DetRng;
 use coplay_clock::{SimDuration, SimTime};
@@ -57,9 +57,6 @@ pub struct NetemConfig {
     loss_correlation: f64,
     duplicate: f64,
     reorder: f64,
-    rate_bytes_per_sec: Option<u64>,
-    queue_packets: usize,
-    preserve_order: bool,
     tx_slice: SimDuration,
 }
 
@@ -73,9 +70,6 @@ impl Default for NetemConfig {
             loss_correlation: 0.0,
             duplicate: 0.0,
             reorder: 0.0,
-            rate_bytes_per_sec: None,
-            queue_packets: 1000,
-            preserve_order: false,
             tx_slice: SimDuration::ZERO,
         }
     }
@@ -146,7 +140,7 @@ impl NetemConfig {
     }
 
     /// Sets the reordering probability in `[0, 1]`: a reordered packet skips
-    /// the jitter/queue path and arrives after the base delay only, letting
+    /// the jitter path and arrives after the base delay only, letting
     /// it overtake in-flight traffic (netem's `reorder` semantics).
     ///
     /// # Panics
@@ -158,32 +152,11 @@ impl NetemConfig {
         self
     }
 
-    /// Limits throughput to `bytes_per_sec`, with serialization delay and a
-    /// bounded queue ahead of the delay stage.
-    pub fn rate(mut self, bytes_per_sec: u64) -> Self {
-        self.rate_bytes_per_sec = Some(bytes_per_sec.max(1));
-        self
-    }
-
-    /// Sets the rate-limiter queue capacity in packets (default 1000).
-    pub fn queue_limit(mut self, packets: usize) -> Self {
-        self.queue_packets = packets.max(1);
-        self
-    }
-
     /// Adds a one-sided uniform delay in `[0, slice)` to every packet,
     /// modelling the sender-side thread time slice the paper's §4.2
     /// threshold decomposition charges 5 ms (half a 10 ms slice) to.
     pub fn tx_slice(mut self, slice: SimDuration) -> Self {
         self.tx_slice = slice;
-        self
-    }
-
-    /// Forces FIFO delivery even under jitter (netem does this only when
-    /// jitter is configured with `reorder` disabled and a rate is set; off by
-    /// default here, i.e. jitter may reorder).
-    pub fn preserve_order(mut self, on: bool) -> Self {
-        self.preserve_order = on;
         self
     }
 
@@ -206,7 +179,8 @@ pub struct PacketFate {
     pub deliveries: Vec<SimTime>,
     /// The packet was dropped by the loss process.
     pub lost: bool,
-    /// The packet was dropped by queue overflow.
+    /// Always `false`: the model has no rate-limiter queue to overflow.
+    /// Kept only because the frozen `e2e-bench` shim still reads it.
     pub overflowed: bool,
     /// The packet took the reorder fast path.
     pub reordered: bool,
@@ -221,8 +195,6 @@ pub struct ChannelStats {
     pub delivered: u64,
     /// Packets dropped by the loss process.
     pub lost: u64,
-    /// Packets dropped by rate-limiter queue overflow.
-    pub overflowed: u64,
     /// Extra copies created by duplication.
     pub duplicated: u64,
     /// Packets that took the reorder fast path.
@@ -247,8 +219,6 @@ pub struct NetemChannel {
     config: NetemConfig,
     rng: DetRng,
     last_lost: bool,
-    busy_until: SimTime,
-    last_scheduled: SimTime,
     stats: ChannelStats,
 }
 
@@ -259,8 +229,6 @@ impl NetemChannel {
             config,
             rng: DetRng::seed_from_u64(seed),
             last_lost: false,
-            busy_until: SimTime::ZERO,
-            last_scheduled: SimTime::ZERO,
             stats: ChannelStats::default(),
         }
     }
@@ -281,8 +249,10 @@ impl NetemChannel {
         self.stats
     }
 
-    /// Decides the fate of one `size`-byte packet entering at `now`.
-    pub fn process(&mut self, now: SimTime, size: usize) -> PacketFate {
+    /// Decides the fate of one packet entering at `now`. The fate does not
+    /// depend on the packet's size; `_size` stays because callers (the
+    /// `e2e-bench` shim among them) pass it.
+    pub fn process(&mut self, now: SimTime, _size: usize) -> PacketFate {
         self.stats.offered += 1;
         let mut fate = PacketFate::default();
 
@@ -303,44 +273,19 @@ impl NetemChannel {
             self.last_lost = false;
         }
 
-        // 2. Rate limiting: serialization delay plus a bounded FIFO queue.
-        let mut exit_ready = now;
-        if let Some(rate) = self.config.rate_bytes_per_sec {
-            let ser = SimDuration::from_micros((size as u64 * 1_000_000).div_ceil(rate));
-            let start = self.busy_until.max(now);
-            let backlog = start.saturating_since(now).as_micros() / ser.as_micros().max(1);
-            if backlog as usize >= self.config.queue_packets {
-                self.stats.overflowed += 1;
-                fate.overflowed = true;
-                return fate;
-            }
-            self.busy_until = start + ser;
-            exit_ready = self.busy_until;
-        }
-
-        // 3. Reorder fast path: base delay only, may overtake queued traffic.
+        // 2. Reorder fast path: base delay only, may overtake jittered traffic.
         let reordered = self.config.reorder > 0.0 && self.rng.next_f64() < self.config.reorder;
-        let mut delivery = if reordered {
+        let delivery = if reordered {
             self.stats.reordered += 1;
             fate.reordered = true;
             now + self.config.delay
         } else {
-            let mut t = exit_ready + self.sample_total_delay();
-            if self.config.preserve_order && t < self.last_scheduled {
-                t = self.last_scheduled;
-            }
-            t
+            now + self.sample_total_delay()
         };
-        if delivery < now {
-            delivery = now;
-        }
-        if !reordered {
-            self.last_scheduled = self.last_scheduled.max(delivery);
-        }
         fate.deliveries.push(delivery);
         self.stats.delivered += 1;
 
-        // 4. Duplication: netem emits the copy back-to-back with the original.
+        // 3. Duplication: netem emits the copy back-to-back with the original.
         if self.config.duplicate > 0.0 && self.rng.next_f64() < self.config.duplicate {
             fate.deliveries
                 .push(delivery + SimDuration::from_micros(100));
@@ -503,9 +448,9 @@ mod tests {
     }
 
     #[test]
-    fn jitter_can_reorder_unless_order_preserved() {
+    fn jitter_can_reorder() {
         let cfg = NetemConfig::new().delay(ms(50)).jitter(ms(20));
-        let mut ch = NetemChannel::new(cfg.clone(), 3);
+        let mut ch = NetemChannel::new(cfg, 3);
         let mut prev = SimTime::ZERO;
         let mut inversions = 0;
         for i in 0..1_000u64 {
@@ -517,15 +462,6 @@ mod tests {
             prev = d;
         }
         assert!(inversions > 0, "expected natural reordering under jitter");
-
-        let mut ch = NetemChannel::new(cfg.preserve_order(true), 3);
-        let mut prev = SimTime::ZERO;
-        for i in 0..1_000u64 {
-            let t = SimTime::from_micros(i * 500);
-            let d = ch.process(t, 100).deliveries[0];
-            assert!(d >= prev, "FIFO violated");
-            prev = d;
-        }
     }
 
     #[test]
@@ -547,31 +483,6 @@ mod tests {
         }
         let rate = reordered as f64 / 2_000.0;
         assert!((rate - 0.3).abs() < 0.05, "reorder rate {rate}");
-    }
-
-    #[test]
-    fn rate_limit_adds_serialization_delay() {
-        // 1000 bytes/s, 100-byte packets -> 100ms each.
-        let cfg = NetemConfig::new().rate(1_000);
-        let mut ch = NetemChannel::new(cfg, 1);
-        let a = ch.process(SimTime::ZERO, 100).deliveries[0];
-        let b = ch.process(SimTime::ZERO, 100).deliveries[0];
-        assert_eq!(a, SimTime::from_millis(100));
-        assert_eq!(b, SimTime::from_millis(200));
-    }
-
-    #[test]
-    fn queue_overflow_drops_tail() {
-        let cfg = NetemConfig::new().rate(1_000).queue_limit(2);
-        let mut ch = NetemChannel::new(cfg, 1);
-        let mut dropped = 0;
-        for _ in 0..10 {
-            if ch.process(SimTime::ZERO, 100).overflowed {
-                dropped += 1;
-            }
-        }
-        assert!(dropped >= 7, "expected most packets dropped, got {dropped}");
-        assert_eq!(ch.stats().overflowed, dropped);
     }
 
     #[test]

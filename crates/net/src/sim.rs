@@ -74,8 +74,8 @@ impl SimNetwork {
         }
     }
 
-    /// Attaches an observability sink: packet drops (loss, overflow, downed
-    /// link) and duplications are recorded, stamped with virtual time.
+    /// Attaches an observability sink: packet drops (loss, downed link) and
+    /// duplications are recorded, stamped with virtual time.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -157,7 +157,6 @@ impl SimNetwork {
                 EventKind::PacketDropped {
                     from: from.0,
                     to: to.0,
-                    overflow: false,
                 },
             );
             return Ok(());
@@ -169,7 +168,6 @@ impl SimNetwork {
                 EventKind::PacketDropped {
                     from: from.0,
                     to: to.0,
-                    overflow: fate.overflowed,
                 },
             );
         } else if fate.deliveries.len() > 1 {

@@ -194,7 +194,8 @@ impl<A: Copy + Ord> RelayCore<A> {
     }
 
     /// Attaches a telemetry sink (flight-recorder events for registration
-    /// and eviction, counters and a fan-out histogram for the hot path).
+    /// and eviction, and a fan-out histogram for the hot path). The relay's
+    /// counters are [`RelayStats`], read through [`RelayCore::stats`].
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -239,9 +240,9 @@ impl<A: Copy + Ord> RelayCore<A> {
             Ok((dest, payload)) => self.on_forward(from, dest, payload, now),
             Err(RelayWireError::UnknownType(_)) => match RelayMessage::decode(data) {
                 Ok(msg) => self.on_control(from, msg, now),
-                Err(_) => self.note_malformed(),
+                Err(_) => self.stats.dropped_malformed += 1,
             },
-            Err(_) => self.note_malformed(),
+            Err(_) => self.stats.dropped_malformed += 1,
         }
         self.replies()
     }
@@ -289,23 +290,10 @@ impl<A: Copy + Ord> RelayCore<A> {
         self.out.get(..self.out_len).unwrap_or(&[])
     }
 
-    fn note_malformed(&mut self) {
-        self.stats.dropped_malformed += 1;
-        self.telemetry
-            .counter_add("relay_dropped_malformed_total", 1);
-    }
-
-    fn note_refused(&mut self) {
-        self.stats.dropped_refused += 1;
-        self.telemetry.counter_add("relay_dropped_refused_total", 1);
-    }
-
     /// The per-datagram hot path: sender lookup, token charge, fan-out.
     fn on_forward(&mut self, from: A, dest: u8, payload: &[u8], now: SimTime) {
         let Some(&si) = self.by_addr.get(&from) else {
             self.stats.dropped_unregistered += 1;
-            self.telemetry
-                .counter_add("relay_dropped_unregistered_total", 1);
             return;
         };
         let si = si as usize;
@@ -323,14 +311,12 @@ impl<A: Copy + Ord> RelayCore<A> {
         let from_site = sender.site;
         if sender.spectator {
             // Spectators are read-only: their input never enters a session.
-            self.note_refused();
+            self.stats.dropped_refused += 1;
             return;
         }
         if !slot.bucket.take(now, rate, burst) {
             slot.drops += 1;
             self.stats.dropped_backpressure += 1;
-            self.telemetry
-                .counter_add("relay_dropped_backpressure_total", 1);
             return;
         }
         self.stats.forwarded += 1;
@@ -350,9 +336,6 @@ impl<A: Copy + Ord> RelayCore<A> {
             copies += 1;
         }
         self.stats.fanout_copies += copies;
-        self.telemetry.counter_add("relay_forwarded_total", 1);
-        self.telemetry
-            .counter_add("relay_fanout_copies_total", copies);
         self.telemetry.observe("relay_fanout", copies);
     }
 
@@ -373,8 +356,6 @@ impl<A: Copy + Ord> RelayCore<A> {
                 }
                 if !refreshed {
                     self.stats.dropped_unregistered += 1;
-                    self.telemetry
-                        .counter_add("relay_dropped_unregistered_total", 1);
                 }
             }
             RelayMessage::Bye { session } => {
@@ -394,13 +375,13 @@ impl<A: Copy + Ord> RelayCore<A> {
             RelayMessage::Registered { .. }
             | RelayMessage::Deliver { .. }
             | RelayMessage::Evicted { .. }
-            | RelayMessage::Forward { .. } => self.note_malformed(),
+            | RelayMessage::Forward { .. } => self.stats.dropped_malformed += 1,
         }
     }
 
     fn on_register(&mut self, from: A, session: u32, site: u8, spectator: bool, now: SimTime) {
         if site > MAX_SITE || !self.cfg.owns(session) {
-            self.note_refused();
+            self.stats.dropped_refused += 1;
             return;
         }
         // Idempotent re-registration from a live member: refresh and re-ack
@@ -427,7 +408,7 @@ impl<A: Copy + Ord> RelayCore<A> {
             None => match self.alloc_slot(session, now) {
                 Some(si) => si,
                 None => {
-                    self.note_refused();
+                    self.stats.dropped_refused += 1;
                     return;
                 }
             },
@@ -438,7 +419,7 @@ impl<A: Copy + Ord> RelayCore<A> {
         // A site may have only one live owner; the contender is refused
         // until eviction or an orderly Bye frees it.
         if !spectator && slot.members.iter().any(|m| !m.spectator && m.site == site) {
-            self.note_refused();
+            self.stats.dropped_refused += 1;
             return;
         }
         let spectators = slot.members.iter().filter(|m| m.spectator).count();
@@ -449,7 +430,7 @@ impl<A: Copy + Ord> RelayCore<A> {
             players >= self.cfg.max_players
         };
         if full {
-            self.note_refused();
+            self.stats.dropped_refused += 1;
             return;
         }
         slot.members.push(Member {
@@ -468,7 +449,6 @@ impl<A: Copy + Ord> RelayCore<A> {
                 spectator,
             },
         );
-        self.set_session_gauge();
         let buf = out_slot(&mut self.out, &mut self.out_len, from);
         RelayMessage::Registered { session, site }.encode_into(buf);
     }
@@ -538,12 +518,6 @@ impl<A: Copy + Ord> RelayCore<A> {
         self.by_session.remove(&slot.session);
         self.free.push(si);
         self.stats.expired_sessions += 1;
-        self.set_session_gauge();
-    }
-
-    fn set_session_gauge(&self) {
-        self.telemetry
-            .gauge_set("relay_sessions", self.by_session.len() as i64);
     }
 }
 

@@ -43,6 +43,5 @@ pub use experiment::{
 };
 pub use metrics::SiteStats;
 pub use sweep::{
-    format_figure1, format_figure2, paper_rtt_points, run_sweep, run_sweep_parallel, threshold_rtt,
-    SweepRow,
+    format_figure1, format_figure2, paper_rtt_points, run_sweep, threshold_rtt, SweepRow,
 };

@@ -3,12 +3,12 @@
 //! §4.1: "we experiment on round-trip times ranging from 0 to 400
 //! milliseconds … the step is set to 10ms from 0 to 200ms and 50ms from
 //! 200ms to 400ms." [`paper_rtt_points`] generates exactly that series;
-//! [`run_sweep`] executes one experiment per point and returns the rows
-//! behind Figures 1 and 2. [`run_sweep_parallel`] produces the identical
-//! rows using a thread per core: each sweep point is an independent,
-//! fully self-contained virtual-time simulation (every seed derives from
-//! the point's config, never from shared state), so points can run on any
-//! thread in any order without changing a single byte of the output.
+//! [`run_sweep`] executes one experiment per point, on as many threads as
+//! asked, and returns the rows behind Figures 1 and 2. Each sweep point is
+//! an independent, fully self-contained virtual-time simulation (every
+//! seed derives from the point's config, never from shared state), so
+//! points can run on any thread in any order without changing a single
+//! byte of the output.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -32,43 +32,22 @@ pub struct SweepRow {
     pub result: ExperimentResult,
 }
 
-/// Runs `base` at every RTT in `points`.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] (points far past the playable regime
-/// can exhaust the virtual-time budget; the paper stops at 400 ms which
-/// stays well inside it).
-pub fn run_sweep(
-    base: &ExperimentConfig,
-    points: &[SimDuration],
-    mut progress: impl FnMut(SimDuration, &ExperimentResult),
-) -> Result<Vec<SweepRow>, SimError> {
-    let mut rows = Vec::with_capacity(points.len());
-    for &rtt in points {
-        let mut cfg = base.clone();
-        cfg.rtt = rtt;
-        let result = run_experiment(cfg)?;
-        progress(rtt, &result);
-        rows.push(SweepRow { rtt, result });
-    }
-    Ok(rows)
-}
-
 /// Runs `base` at every RTT in `points`, fanning the points out across
 /// `threads` worker threads.
 ///
-/// The output is byte-identical to [`run_sweep`]: each point's experiment
-/// is deterministic given its config alone, rows come back in point order,
-/// and `progress` fires in point order once every point has finished.
-/// `threads` is clamped to `1..=points.len()`; one thread falls back to
-/// the serial loop.
+/// The output does not depend on `threads`: each point's experiment is
+/// deterministic given its config alone, rows come back in point order,
+/// and `progress` fires in point order. `threads` is clamped to
+/// `1..=points.len()`. One thread runs a serial loop that reports each
+/// point as it finishes; with more, `progress` fires after all have run.
 ///
 /// # Errors
 ///
-/// Every point runs to completion; the error for the earliest failing
-/// point (in point order, matching the serial loop) is returned.
-pub fn run_sweep_parallel(
+/// The error for the earliest failing point, in point order (points far
+/// past the playable regime can exhaust the virtual-time budget; the
+/// paper stops at 400 ms which stays well inside it). The serial loop
+/// stops there; the threaded path runs every point to completion first.
+pub fn run_sweep(
     base: &ExperimentConfig,
     points: &[SimDuration],
     threads: usize,
@@ -76,7 +55,15 @@ pub fn run_sweep_parallel(
 ) -> Result<Vec<SweepRow>, SimError> {
     let threads = threads.clamp(1, points.len().max(1));
     if threads == 1 {
-        return run_sweep(base, points, progress);
+        let mut rows = Vec::with_capacity(points.len());
+        for &rtt in points {
+            let mut cfg = base.clone();
+            cfg.rtt = rtt;
+            let result = run_experiment(cfg)?;
+            progress(rtt, &result);
+            rows.push(SweepRow { rtt, result });
+        }
+        return Ok(rows);
     }
     // Work-stealing over an atomic cursor: threads claim whichever point
     // is next, and results land in per-thread (index, result) lists that
@@ -198,7 +185,7 @@ mod tests {
             SimDuration::from_millis(350),
         ];
         let mut seen = 0;
-        let rows = run_sweep(&base, &points, |_, _| seen += 1).unwrap();
+        let rows = run_sweep(&base, &points, 1, |_, _| seen += 1).unwrap();
         assert_eq!(seen, 3);
         assert_eq!(rows.len(), 3);
         let ft: Vec<f64> = rows
@@ -231,9 +218,9 @@ mod tests {
             SimDuration::from_millis(80),
             SimDuration::from_millis(120),
         ];
-        let serial = run_sweep(&base, &points, |_, _| {}).unwrap();
+        let serial = run_sweep(&base, &points, 1, |_, _| {}).unwrap();
         let mut order = Vec::new();
-        let parallel = run_sweep_parallel(&base, &points, 4, |rtt, _| order.push(rtt)).unwrap();
+        let parallel = run_sweep(&base, &points, 4, |rtt, _| order.push(rtt)).unwrap();
         assert_eq!(order, points, "progress fires in point order");
         // The rendered figures are the output artifact; they must match to
         // the byte, as must the raw counters behind them.
@@ -259,7 +246,7 @@ mod tests {
             SimDuration::from_millis(40),
             SimDuration::from_millis(350),
         ];
-        let rows = run_sweep(&base, &points, |_, _| {}).unwrap();
+        let rows = run_sweep(&base, &points, 1, |_, _| {}).unwrap();
         let th = threshold_rtt(&rows, 16.667, 1.0).expect("low points are at speed");
         assert!(th >= SimDuration::from_millis(40));
         assert!(th < SimDuration::from_millis(350));

@@ -53,9 +53,6 @@ pub struct FrameTimer {
     frame_start: SimTime,
     is_master: bool,
     rate_sync: bool,
-    /// Optional bound on each frame's `SyncAdjustTimeDelta` contribution
-    /// (not in the paper; used by the pacing ablation).
-    sync_clamp: Option<SimDuration>,
     /// Corrections smaller than this are treated as measurement noise
     /// (send-batching and thread-slice terms the paper's §4.2 enumerates).
     dead_zone: SimDuration,
@@ -94,7 +91,6 @@ impl FrameTimer {
             frame_start: SimTime::ZERO,
             is_master,
             rate_sync,
-            sync_clamp: None,
             dead_zone: SimDuration::ZERO,
             buf_frames,
             last_sync_adjust: SimDelta::ZERO,
@@ -113,13 +109,6 @@ impl FrameTimer {
     /// [`SyncConfig::sync_dead_zone`](crate::SyncConfig::sync_dead_zone)).
     pub fn with_dead_zone(mut self, dead_zone: SimDuration) -> FrameTimer {
         self.dead_zone = dead_zone;
-        self
-    }
-
-    /// Bounds each frame's Algorithm-4 contribution to ±`limit`
-    /// (experimental knob; the paper applies no clamp).
-    pub fn with_sync_clamp(mut self, limit: SimDuration) -> FrameTimer {
-        self.sync_clamp = Some(limit);
         self
     }
 
@@ -164,12 +153,9 @@ impl FrameTimer {
         let frame_diff = frame as i64 - master_frame as i64;
         let sent_time = obs.rcv_time.offset(-SimDelta::from(rtt / 2));
         let elapsed = now.delta_since(sent_time);
-        let mut sync = SimDelta::from(self.time_per_frame) * frame_diff - elapsed;
+        let sync = SimDelta::from(self.time_per_frame) * frame_diff - elapsed;
         if sync.abs() <= self.dead_zone {
             return; // within measurement noise: hold the current pace
-        }
-        if let Some(limit) = self.sync_clamp {
-            sync = sync.clamp_abs(limit);
         }
         self.last_sync_adjust = sync;
         self.telemetry
@@ -334,19 +320,6 @@ mod tests {
         };
         t.begin_frame(now, 0, Some(&obs), ms(40));
         assert_eq!(t.last_sync_adjust(), SimDelta::ZERO);
-    }
-
-    #[test]
-    fn clamp_bounds_each_contribution() {
-        let mut t = FrameTimer::slave(TPF, 6).with_sync_clamp(ms(5));
-        let now = SimTime::from_secs(5);
-        let obs = MasterObservation {
-            master_lagged_frame: 6, // master at frame 0
-            rcv_time: now,
-        };
-        // Slave wildly ahead at frame 1000.
-        t.begin_frame(now, 1000, Some(&obs), SimDuration::ZERO);
-        assert_eq!(t.last_sync_adjust(), SimDelta::from_millis(5));
     }
 
     #[test]

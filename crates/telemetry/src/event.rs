@@ -96,8 +96,6 @@ pub enum EventKind {
         from: u8,
         /// Receiving peer.
         to: u8,
-        /// `true` if the drop was a queue overflow rather than random loss.
-        overflow: bool,
     },
     /// The impaired network duplicated a packet.
     PacketDuplicated {
@@ -274,10 +272,7 @@ impl Event {
             | EventKind::SnapshotLoaded { frame, bytes } => {
                 let _ = write!(out, ",\"frame\":{frame},\"bytes\":{bytes}");
             }
-            EventKind::PacketDropped { from, to, overflow } => {
-                let _ = write!(out, ",\"from\":{from},\"to\":{to},\"overflow\":{overflow}");
-            }
-            EventKind::PacketDuplicated { from, to } => {
+            EventKind::PacketDropped { from, to } | EventKind::PacketDuplicated { from, to } => {
                 let _ = write!(out, ",\"from\":{from},\"to\":{to}");
             }
             EventKind::DesyncDetected { frame } => {
@@ -391,11 +386,7 @@ mod tests {
                 frame: 4,
                 bytes: 100,
             },
-            EventKind::PacketDropped {
-                from: 0,
-                to: 1,
-                overflow: false,
-            },
+            EventKind::PacketDropped { from: 0, to: 1 },
             EventKind::PacketDuplicated { from: 0, to: 1 },
             EventKind::DesyncDetected { frame: 9 },
             EventKind::CheckpointSaved {

@@ -151,9 +151,6 @@ impl Telemetry {
 
     /// Turns span tracing on for this handle (and subsequent clones of
     /// it). Requires an enabled handle; a disabled handle stays a no-op.
-    ///
-    /// When the crate is built without the `trace` feature this is
-    /// honored in name only: [`Telemetry::span`] compiles to nothing.
     #[must_use]
     pub fn with_tracing(mut self) -> Self {
         self.trace = self.inner.is_some();
@@ -167,7 +164,7 @@ impl Telemetry {
 
     /// `true` if [`Telemetry::span`] records span events.
     pub fn is_tracing(&self) -> bool {
-        cfg!(feature = "trace") && self.trace
+        self.trace
     }
 
     fn lock(&self) -> Option<MutexGuard<'_, Sink>> {
@@ -203,16 +200,12 @@ impl Telemetry {
     ///
     /// When tracing is off (the default, including every plain
     /// [`Telemetry::recording`] handle) this is a branch on a local bool —
-    /// no lock, no allocation. Building the crate without the `trace`
-    /// feature compiles the whole body away.
+    /// no lock, no allocation.
     #[inline]
     pub fn span(&self, at: SimTime, stage: SpanStage, frame: u64, peer: u8) {
-        #[cfg(feature = "trace")]
         if self.trace {
             self.record(at, EventKind::Span { stage, frame, peer });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (at, stage, frame, peer);
     }
 
     /// Sets the `(session, site)` correlation identity stamped into trace
@@ -317,7 +310,7 @@ impl Telemetry {
     }
 
     /// Number of *span* records evicted by ring-buffer wraparound — the
-    /// trace-completeness signal surfaced in lobby heartbeats.
+    /// trace-completeness signal written in the `trace_meta` header.
     pub fn dropped_spans(&self) -> u64 {
         self.lock().map_or(0, |s| s.recorder.dropped_spans())
     }
@@ -464,11 +457,8 @@ fn derive_metrics(m: &mut MetricsRegistry, kind: &EventKind) {
         EventKind::SnapshotLoaded { .. } => {
             m.counter_add("snapshots_loaded_total", 1);
         }
-        EventKind::PacketDropped { overflow, .. } => {
+        EventKind::PacketDropped { .. } => {
             m.counter_add("packets_dropped_total", 1);
-            if overflow {
-                m.counter_add("packets_overflowed_total", 1);
-            }
         }
         EventKind::PacketDuplicated { .. } => {
             m.counter_add("packets_duplicated_total", 1);
@@ -495,14 +485,11 @@ fn derive_metrics(m: &mut MetricsRegistry, kind: &EventKind) {
             m.counter_add("spans_recorded_total", 1);
         }
         EventKind::RelayRegistered { spectator, .. } => {
-            m.counter_add("relay_registrations_total", 1);
             if spectator {
                 m.counter_add("relay_spectators_total", 1);
             }
         }
-        EventKind::RelayEvicted { .. } => {
-            m.counter_add("relay_members_evicted_total", 1);
-        }
+        EventKind::RelayEvicted { .. } => {}
     }
 }
 

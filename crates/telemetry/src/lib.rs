@@ -19,8 +19,7 @@
 //!    confirmed, plus the rollback repair stages), recorded into the same
 //!    flight-recorder ring under `(session, site, frame)` correlation
 //!    keys. Tracing is opt-in per handle ([`Telemetry::tracing`]); when
-//!    off, [`Telemetry::span`] is a branch on a local bool, and building
-//!    without the `trace` feature compiles it away entirely.
+//!    off, [`Telemetry::span`] is a branch on a local bool.
 //! 5. **Black-box forensics** ([`forensics`]) — anomaly-triggered
 //!    postmortem bundles (flight-recorder tail, metrics, caller-supplied
 //!    artifacts) dumped to a directory.

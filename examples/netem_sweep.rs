@@ -31,7 +31,7 @@ fn main() {
         base.frames
     );
     println!("RTT(ms)  frame(ms)    FPS  smoothness(ms)  synchrony(ms)  converged");
-    let rows = run_sweep(&base, &points, |_, _| {}).expect("sweep failed");
+    let rows = run_sweep(&base, &points, 1, |_, _| {}).expect("sweep failed");
     for row in &rows {
         let s = &row.result.sites[0];
         println!(

@@ -22,7 +22,7 @@ fn figure_1_shape_holds() {
         .into_iter()
         .map(SimDuration::from_millis)
         .collect();
-    let rows = run_sweep(&base(), &points, |_, _| {}).expect("sweep");
+    let rows = run_sweep(&base(), &points, 1, |_, _| {}).expect("sweep");
 
     // (a) A full-speed plateau: 60 FPS with sub-millisecond deviation at
     //     every point the paper calls comfortably playable.
@@ -71,7 +71,7 @@ fn figure_2_shape_holds() {
         .into_iter()
         .map(SimDuration::from_millis)
         .collect();
-    let rows = run_sweep(&base(), &points, |_, _| {}).expect("sweep");
+    let rows = run_sweep(&base(), &points, 1, |_, _| {}).expect("sweep");
 
     // Below the threshold: single-digit-ms synchrony (paper: <10ms).
     for row in rows.iter().take(3) {
@@ -104,8 +104,8 @@ fn section_4_2_budget_direction_holds() {
         ..base()
     };
     let points: Vec<SimDuration> = (8..=24).map(|i| SimDuration::from_millis(i * 10)).collect();
-    let lean_rows = run_sweep(&lean, &points, |_, _| {}).expect("lean");
-    let heavy_rows = run_sweep(&heavy, &points, |_, _| {}).expect("heavy");
+    let lean_rows = run_sweep(&lean, &points, 1, |_, _| {}).expect("lean");
+    let heavy_rows = run_sweep(&heavy, &points, 1, |_, _| {}).expect("heavy");
     let lean_th = threshold_rtt(&lean_rows, 16.667, 0.5).expect("lean plateau");
     let heavy_th = threshold_rtt(&heavy_rows, 16.667, 0.5).expect("heavy plateau");
     assert!(
