@@ -19,11 +19,11 @@ use coplay_net::{PeerId, Transport, TransportError};
 use crate::wire::{self, RelayMessage, RelayWireError};
 
 /// While unregistered, `try_recv` retransmits `Register` once per this many
-/// polls (including the very first). A session master may have nothing to
-/// send until a peer's hello arrives — and that hello can only be fanned
-/// out to members the relay already knows about — so a pure receiver must
-/// still announce itself, and keep re-announcing in case the datagram was
-/// lost.
+/// polls (including the very first). A client may have nothing to send for
+/// a while — a session site greets its peers only once per join retry —
+/// and a peer's hello can only be fanned out to members the relay already
+/// knows about, so a receiving client must still announce itself, and keep
+/// re-announcing in case the datagram was lost.
 const REGISTER_POLL_EVERY: u32 = 16;
 
 /// A [`Transport`] adapter that tunnels site-addressed datagrams through a

@@ -43,9 +43,10 @@ echo "==> figure outputs match the committed results/*.txt (deterministic oracle
 # writes results/BENCH_rollback.json). results/e3_threshold_decomposition.txt
 # is the one committed figure not diffed here: threshold_decomposition has
 # no quick mode and takes 5 m 45 s on a 2-vCPU host, longer than the rest
-# of this script. Its output matched the committed file when last checked
-# by hand; rerun and diff it whenever sync pacing or the lockstep
-# threshold changes.
+# of this script. It was last regenerated and checked by hand when every
+# site began greeting its peers at boot (DESIGN.md §5h), which moved the
+# sites' start skew; rerun and diff it whenever sync pacing, session start
+# or the lockstep threshold changes.
 while read -r file bin args; do
   # shellcheck disable=SC2086 # $args is a word list
   cargo run -q --release -p coplay-bench --bin "$bin" -- $args 2>/dev/null \
