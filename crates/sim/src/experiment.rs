@@ -74,8 +74,6 @@ pub struct ExperimentConfig {
     pub latecomer_at: Option<SimDuration>,
     /// Extra delay before the slave (site 1) boots, for the pacing ablation.
     pub start_skew: SimDuration,
-    /// Verify per-frame state-hash equality across replicas.
-    pub check_convergence: bool,
     /// Attach a recording [`Telemetry`] sink to every site and to the
     /// network fabric. When `false` (the default), the no-op sink is used
     /// and the run costs nothing extra.
@@ -121,7 +119,6 @@ impl Default for ExperimentConfig {
             observers: 0,
             latecomer_at: None,
             start_skew: SimDuration::ZERO,
-            check_convergence: true,
             telemetry: false,
             trace: false,
             forensics_root: None,
@@ -244,18 +241,11 @@ impl<C: Consistency> Site for Session<Box<dyn Machine>, SimSocket, RandomPresser
     }
 }
 
-/// Attaches the time server (and optionally drops frame hashing) before
-/// the session's policy is erased.
+/// Attaches the time server before the session's policy is erased.
 fn testbed_site<C: Consistency + 'static>(
     session: Session<Box<dyn Machine>, SimSocket, RandomPresser, C>,
-    hash_frames: bool,
 ) -> Box<dyn Site> {
-    let session = session.with_time_server(PeerId::TIME_SERVER);
-    if hash_frames {
-        Box::new(session)
-    } else {
-        Box::new(session.without_frame_hashes())
-    }
+    Box::new(session.with_time_server(PeerId::TIME_SERVER))
 }
 
 struct SiteRunner {
@@ -373,17 +363,10 @@ impl Experiment {
                 cfg.seed.wrapping_add(1 + site_no as u64),
             );
             let socket = SimNetwork::socket(&net, PeerId(site_no));
-            let hashes = cfg.check_convergence;
             let session = if cfg.consistency.is_rollback() && !is_observer {
-                testbed_site(
-                    RollbackSession::new(sync_cfg, machine, socket, source),
-                    hashes,
-                )
+                testbed_site(RollbackSession::new(sync_cfg, machine, socket, source))
             } else {
-                testbed_site(
-                    LockstepSession::new(sync_cfg, machine, socket, source),
-                    hashes,
-                )
+                testbed_site(LockstepSession::new(sync_cfg, machine, socket, source))
             };
             // Boot times: everyone at 0 except a latecomer, which appears
             // at its join time.
@@ -552,22 +535,20 @@ impl Experiment {
         // frame's state hash (offset by each site's first executed frame).
         let mut converged = true;
         let mut compared_frames = vec![0; sites.len()];
-        if cfg.check_convergence {
-            let reference = &sites[0];
-            for (si, s) in sites.iter().enumerate().skip(1) {
-                for (i, h) in s.hashes.iter().enumerate() {
-                    let frame = s.first_frame + i as u64;
-                    let Some(ri) = frame.checked_sub(reference.first_frame) else {
-                        continue;
-                    };
-                    if let Some(rh) = reference.hashes.get(ri as usize) {
-                        compared_frames[si] += 1;
-                        if rh != h {
-                            if converged {
-                                telemetry[si].record(end, EventKind::DesyncDetected { frame });
-                            }
-                            converged = false;
+        let reference = &sites[0];
+        for (si, s) in sites.iter().enumerate().skip(1) {
+            for (i, h) in s.hashes.iter().enumerate() {
+                let frame = s.first_frame + i as u64;
+                let Some(ri) = frame.checked_sub(reference.first_frame) else {
+                    continue;
+                };
+                if let Some(rh) = reference.hashes.get(ri as usize) {
+                    compared_frames[si] += 1;
+                    if rh != h {
+                        if converged {
+                            telemetry[si].record(end, EventKind::DesyncDetected { frame });
                         }
+                        converged = false;
                     }
                 }
             }

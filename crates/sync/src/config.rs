@@ -101,11 +101,6 @@ pub struct SyncConfig {
     /// How often a blocked `SyncInput` re-polls the network when no packet
     /// wakes it first.
     pub poll_interval: SimDuration,
-    /// Cap on input frames carried per message (oldest first, so
-    /// retransmission stays cumulative). Read as at least 1 and at most
-    /// [`MAX_INPUTS_PER_MSG`](crate::MAX_INPUTS_PER_MSG), the most a
-    /// receiver decodes.
-    pub max_payload_frames: usize,
     /// Whether the slave runs Algorithm 4 (master/slave pace smoothing).
     /// Disabling it reproduces the paper's §3.2 "earlier site is penalized"
     /// pathology — kept as a switch for the ablation experiment.
@@ -160,7 +155,6 @@ impl SyncConfig {
             cfps: 60,
             send_interval: SimDuration::from_millis(20),
             poll_interval: SimDuration::from_millis(1),
-            max_payload_frames: 120,
             rate_sync: true,
             sync_dead_zone: SimDuration::from_millis(15),
             stall_timeout: None,

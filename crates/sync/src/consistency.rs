@@ -136,8 +136,8 @@ impl<P: InputPredictor> Speculative<P> {
     }
 
     /// Saves a checkpoint before `frame` and publishes what it cost. The
-    /// state is hashed only when no known hash covers it: before frame 0,
-    /// after a snapshot join, or when frames are not hashed.
+    /// state is hashed only when no known hash covers it: before frame 0
+    /// or after a snapshot join.
     fn checkpoint<M: Machine>(
         &mut self,
         frame: u64,

@@ -123,8 +123,9 @@ pub struct FrameReport {
     pub frame: u64,
     /// The merged input word fed to the machine.
     pub input: InputWord,
-    /// The machine's state digest after the frame (if hashing is enabled).
-    /// On a speculative site it may still be rolled back; see
+    /// The machine's state digest after the frame; always `Some` (an
+    /// `Option` only because existing readers match on it). On a
+    /// speculative site it may still be rolled back; see
     /// [`Session::drain_confirmed`].
     pub state_hash: Option<u64>,
     /// When this frame began (`CurrFrameStart`).
@@ -180,7 +181,6 @@ pub struct Session<M, T, S, C> {
     frame_start: SimTime,
     rom_hash: u64,
     time_server: Option<PeerId>,
-    hash_frames: bool,
     stats: SessionStats,
     blocked_at: Option<SimTime>,
     /// Reusable datagram buffer for the per-frame input send path.
@@ -263,7 +263,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
             frame_start: SimTime::ZERO,
             rom_hash,
             time_server: None,
-            hash_frames: true,
             stats: SessionStats::default(),
             blocked_at: None,
             // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
@@ -281,15 +280,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
     /// `peer` (§4's experimental setup).
     pub fn with_time_server(mut self, peer: PeerId) -> Self {
         self.time_server = Some(peer);
-        self
-    }
-
-    /// Disables per-frame state hashing (saves time in throughput benches).
-    /// Nothing is confirmed in this mode. A speculative site saves nothing:
-    /// its checkpoint before each frame then hashes the state itself, so it
-    /// still pays one hash per executed frame.
-    pub fn without_frame_hashes(mut self) -> Self {
-        self.hash_frames = false;
         self
     }
 
@@ -605,7 +595,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         let report = FrameReport {
             frame: self.frame,
             input,
-            state_hash,
+            state_hash: Some(state_hash),
             began_at: self.frame_start,
             stall,
         };
@@ -625,20 +615,14 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
     /// confirmed hashes, a repair and the checkpoint before the next frame
     /// all reuse that hash. `mode` is
     /// `Headless` for repair frames whose output will never be presented.
-    fn step(
-        &mut self,
-        frame: u64,
-        now: SimTime,
-        mode: StepMode,
-        live: bool,
-    ) -> (InputWord, Option<u64>) {
+    fn step(&mut self, frame: u64, now: SimTime, mode: StepMode, live: bool) -> (InputWord, u64) {
         let input = match self.policy.speculative() {
             Some(spec) => spec.prepare(frame, &mut self.machine, &self.sync, &self.cfg, now, live),
             None => self.sync.merged_input(frame),
         };
         self.machine.step_frame_mode(input, mode);
-        let hash = self.hash_frames.then(|| self.machine.state_hash());
-        if let (Some(spec), Some(hash)) = (self.policy.speculative(), hash) {
+        let hash = self.machine.state_hash();
+        if let Some(spec) = self.policy.speculative() {
             spec.note_hash(frame, hash);
         }
         (input, hash)
@@ -669,21 +653,13 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                 .telemetry
                 .span(now, SpanStage::Resimulated, g, self.cfg.my_site);
         }
-        // Every frame from the mispredicted one on is replayed: the
-        // rollback's depth is what it resimulates.
         let depth = pointer - target;
-        if depth > 1 {
-            self.cfg
-                .telemetry
-                .counter_add("headless_resim_frames_total", depth - 1);
-        }
-        self.stats.note_rollback(depth, depth);
+        self.stats.note_rollback(depth);
         self.cfg.telemetry.record(
             now,
             EventKind::RollbackExecuted {
                 to_frame: target,
                 depth,
-                resimulated: depth,
             },
         );
         Ok(())

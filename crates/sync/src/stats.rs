@@ -3,7 +3,9 @@
 //!
 //! The paper reports its metrics from an external time server; a production
 //! deployment also needs *in-band* numbers. [`SessionStats`] accumulates
-//! them inside the driver with no protocol impact.
+//! them inside the driver with no protocol impact, and is their one
+//! definition: the session's `Telemetry` registry keeps only histograms and
+//! the counters no field here holds.
 
 use coplay_clock::{SimDuration, SimTime};
 
@@ -26,7 +28,8 @@ pub struct SessionStats {
     pub retransmitted_frames_received: u64,
     /// Input-frame payload words sent (≥ frames when retransmitting).
     pub input_frames_sent: u64,
-    /// Frames on which `SyncInput` blocked at least one poll interval.
+    /// Frames on which `SyncInput` blocked for a non-zero time, counted
+    /// when the blockage ends (one still open is not counted yet).
     pub stalled_frames: u64,
     /// Total time spent blocked in `SyncInput`.
     pub stall_total: SimDuration,
@@ -49,35 +52,18 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Retransmission overhead: payload frames sent beyond one per executed
-    /// frame, as a fraction of executed frames. Zero on a perfect link.
-    pub fn retransmission_ratio(&self) -> f64 {
-        if self.frames == 0 {
-            return 0.0;
-        }
-        let extra = self.input_frames_sent.saturating_sub(self.frames);
-        extra as f64 / self.frames as f64
-    }
-
-    /// Fraction of frames that stalled waiting for remote input.
-    pub fn stall_ratio(&self) -> f64 {
-        if self.frames == 0 {
-            return 0.0;
-        }
-        self.stalled_frames as f64 / self.frames as f64
-    }
-
-    /// Folds one executed rollback into the counters. Public so drivers in
-    /// other crates (the rollback session) can share this stats type.
-    pub fn note_rollback(&mut self, depth: u64, resimulated: u64) {
+    /// Folds one executed rollback into the counters: a repair re-executes
+    /// every frame from the mispredicted one on, so its depth is also what
+    /// it resimulates.
+    pub(crate) fn note_rollback(&mut self, depth: u64) {
         self.rollbacks += 1;
-        self.resimulated_frames += resimulated;
+        self.resimulated_frames += depth;
         self.max_rollback_depth = self.max_rollback_depth.max(depth);
     }
 
     /// Folds one resolved input-wait blockage into the counters
     /// (zero-length blockages are not stalls).
-    pub fn note_stall(&mut self, began: SimTime, ended: SimTime) {
+    pub(crate) fn note_stall(&mut self, began: SimTime, ended: SimTime) {
         let d = ended.saturating_since(began);
         if d > SimDuration::ZERO {
             self.stalled_frames += 1;
@@ -90,23 +76,6 @@ impl SessionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ratios_on_empty_stats_are_zero() {
-        let s = SessionStats::default();
-        assert_eq!(s.retransmission_ratio(), 0.0);
-        assert_eq!(s.stall_ratio(), 0.0);
-    }
-
-    #[test]
-    fn retransmission_ratio_counts_extra_payload() {
-        let s = SessionStats {
-            frames: 100,
-            input_frames_sent: 150,
-            ..SessionStats::default()
-        };
-        assert!((s.retransmission_ratio() - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn note_stall_tracks_total_and_max() {
@@ -124,20 +93,10 @@ mod tests {
     #[test]
     fn note_rollback_tracks_counts_and_depth() {
         let mut s = SessionStats::default();
-        s.note_rollback(3, 7);
-        s.note_rollback(1, 2);
+        s.note_rollback(3);
+        s.note_rollback(1);
         assert_eq!(s.rollbacks, 2);
-        assert_eq!(s.resimulated_frames, 9);
+        assert_eq!(s.resimulated_frames, 4);
         assert_eq!(s.max_rollback_depth, 3);
-    }
-
-    #[test]
-    fn stall_ratio() {
-        let mut s = SessionStats {
-            frames: 10,
-            ..SessionStats::default()
-        };
-        s.note_stall(SimTime::ZERO, SimTime::from_millis(5));
-        assert!((s.stall_ratio() - 0.1).abs() < 1e-12);
     }
 }

@@ -28,7 +28,7 @@ use coplay_vm::InputWord;
 
 use crate::config::SyncConfig;
 use crate::input_buffer::InputBuffer;
-use crate::wire::{InputMsg, MAX_INPUTS_PER_MSG};
+use crate::wire::{InputMsg, MAX_PAYLOAD_FRAMES};
 
 /// Site number used by observers (they own no input bits and nobody waits
 /// for them).
@@ -326,9 +326,6 @@ impl InputSync {
         let mut out = Vec::new();
         let my_site = self.cfg.my_site;
         let my_last = self.my_last_buffered;
-        // A message must carry at least one frame to make progress and no
-        // more than a receiver decodes, or the same batch is re-sent forever.
-        let max_frames = self.cfg.max_payload_frames.clamp(1, MAX_INPUTS_PER_MSG);
         // Collect (site, ack, first..=last) first; building payloads needs &self.buf.
         let plans: Vec<(u8, u64, u64, u64)> = self
             .peers
@@ -346,7 +343,7 @@ impl InputSync {
                     self.pointer.max(1) - 1
                 };
                 let last = if has_inputs {
-                    my_last.min(first + max_frames as u64 - 1)
+                    my_last.min(first + MAX_PAYLOAD_FRAMES as u64 - 1)
                 } else {
                     first - 1 // empty payload (pure ack)
                 };
@@ -952,81 +949,45 @@ mod tests {
             })
             .collect();
         assert_eq!(sent, vec![(1, 0), (1, 1)]);
-        assert_eq!(tel.counter("input_messages_sent_total"), 2);
         assert_eq!(tel.counter("retransmitted_frames_sent_total"), 1);
     }
 
     #[test]
     fn payload_cap_is_respected_and_cumulative() {
-        // a's outbound messages are all lost; b's arrive. a accumulates
-        // unacked local inputs and must cap each (re)transmission at the
-        // configured limit, always starting from the oldest unacked frame.
-        let mut cfg = SyncConfig::two_player(0);
-        cfg.max_payload_frames = 4;
-        let mut a = InputSync::new(cfg);
+        // a's inputs never reach b (only its acks do, so b keeps sending
+        // new frames), so a builds a backlog of 300 unacked frames. Every
+        // (re)transmission is capped, always starting from the oldest
+        // unacked frame, and the receiver decodes it.
+        let mut a = InputSync::new(SyncConfig::two_player(0));
         let mut b = InputSync::new(SyncConfig::two_player(1));
-        for f in 0..=6u64 {
+        for f in 0..300u64 {
             let t = SimTime::from_millis(f * 25);
             a.begin_frame(f, InputWord(1), t);
             b.begin_frame(f, InputWord(0x0100), t);
-            for (_, m) in a.outgoing(t) {
-                assert!(m.inputs.len() <= 4, "cap violated: {}", m.inputs.len());
+            b.advance();
+            for (_, mut m) in a.outgoing(t) {
+                assert!(
+                    m.inputs.len() <= MAX_PAYLOAD_FRAMES,
+                    "cap violated: {}",
+                    m.inputs.len()
+                );
                 assert_eq!(m.first, 6, "oldest unacked first (init ack = 5)");
-                // lost: never delivered to b
+                m.inputs.clear();
+                b.on_message(&m, t);
             }
             for (_, m) in b.outgoing(t) {
                 a.on_message(&m, t);
             }
-            assert!(a.ready());
             let _ = a.take();
-            if b.ready() {
-                let _ = b.take();
-            }
         }
-        // b is now blocked at frame 6; a keeps retransmitting capped,
-        // cumulative batches from frame 6.
-        let t = SimTime::from_secs(9);
-        let msgs = a.outgoing(t);
-        assert!(!msgs.is_empty());
+        let msgs = a.outgoing(SimTime::from_secs(60));
+        assert_eq!(msgs.len(), 1);
         for (_, m) in msgs {
-            assert_eq!(m.first, 6);
-            assert_eq!(m.inputs.len(), 4, "window 6..=9 under the cap");
-        }
-    }
-
-    #[test]
-    fn payload_cap_is_clamped_to_what_a_receiver_decodes() {
-        // a's inputs never reach b (only its acks do, so b keeps sending
-        // new frames), so a builds a backlog of 2000 unacked frames. A cap
-        // above the decoder's limit must still yield a message the
-        // receiver accepts, and a zero cap must still carry a frame.
-        for (cap, carried) in [(5000, MAX_INPUTS_PER_MSG), (0, 1)] {
-            let mut cfg = SyncConfig::two_player(0);
-            cfg.max_payload_frames = cap;
-            let mut a = InputSync::new(cfg);
-            let mut b = InputSync::new(SyncConfig::two_player(1));
-            for f in 0..2000u64 {
-                let t = SimTime::from_millis(f * 25);
-                a.begin_frame(f, InputWord(1), t);
-                b.begin_frame(f, InputWord(0x0100), t);
-                b.advance();
-                for (_, mut m) in a.outgoing(t) {
-                    m.inputs.clear();
-                    b.on_message(&m, t);
-                }
-                for (_, m) in b.outgoing(t) {
-                    a.on_message(&m, t);
-                }
-                let _ = a.take();
-            }
-            let msgs = a.outgoing(SimTime::from_secs(60));
-            assert_eq!(msgs.len(), 1);
-            for (_, m) in msgs {
-                let Ok(Message::Input(got)) = Message::decode(&Message::Input(m).encode()) else {
-                    panic!("cap {cap}: the receiver must decode the message");
-                };
-                assert_eq!(got.inputs.len(), carried, "cap {cap}");
-            }
+            let Ok(Message::Input(got)) = Message::decode(&Message::Input(m).encode()) else {
+                panic!("the receiver must decode the message");
+            };
+            assert_eq!(got.first, 6);
+            assert_eq!(got.inputs.len(), MAX_PAYLOAD_FRAMES, "window 6..=125");
         }
     }
 }

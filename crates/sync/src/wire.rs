@@ -45,6 +45,13 @@ const VERSION: u8 = 2;
 /// Hard cap on input words per message; bounds allocation on receive.
 pub const MAX_INPUTS_PER_MSG: usize = 1024;
 
+/// Input frames a site sends per message at most (oldest first, so
+/// retransmission stays cumulative): two seconds of backlog at 60 FPS.
+pub(crate) const MAX_PAYLOAD_FRAMES: usize = 120;
+// A receiver must decode every message a sender builds, or the same batch
+// is re-sent forever.
+const _: () = assert!(MAX_PAYLOAD_FRAMES <= MAX_INPUTS_PER_MSG);
+
 /// Hard cap on snapshot chunk payload (fits one UDP datagram comfortably).
 pub const MAX_CHUNK_BYTES: usize = 1024;
 

@@ -127,10 +127,9 @@ pub enum EventKind {
     RollbackExecuted {
         /// First mispredicted frame (the rollback target).
         to_frame: u64,
-        /// Frames the pointer was rolled back (pointer − to_frame).
+        /// Frames the pointer was rolled back (pointer − to_frame), which
+        /// is also how many frames the repair re-executes.
         depth: u64,
-        /// Frames re-executed to return to the present.
-        resimulated: u64,
     },
     /// One stage of an input word's frame-lifecycle span chain (tracing).
     ///
@@ -284,15 +283,8 @@ impl Event {
             EventKind::InputMispredicted { frame, site } => {
                 let _ = write!(out, ",\"frame\":{frame},\"site\":{site}");
             }
-            EventKind::RollbackExecuted {
-                to_frame,
-                depth,
-                resimulated,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"to_frame\":{to_frame},\"depth\":{depth},\"resimulated\":{resimulated}"
-                );
+            EventKind::RollbackExecuted { to_frame, depth } => {
+                let _ = write!(out, ",\"to_frame\":{to_frame},\"depth\":{depth}");
             }
             EventKind::Span { stage, frame, peer } => {
                 let _ = write!(
@@ -397,7 +389,6 @@ mod tests {
             EventKind::RollbackExecuted {
                 to_frame: 31,
                 depth: 4,
-                resimulated: 6,
             },
             EventKind::Span {
                 stage: SpanStage::Received,

@@ -66,9 +66,9 @@ impl Sink {
 /// among all its clones, which is what lets a session hand the same trace
 /// to its pacer, input synchronizer, and RTT estimator.
 ///
-/// Recording an event also derives the obvious metrics from it (frame-time
-/// and stall histograms, message counters, ...), so call sites make exactly
-/// one telemetry call per occurrence.
+/// Recording an event also derives its histograms (frame time, stall
+/// length, ...) and the counters no `SessionStats` field keeps, so call
+/// sites make exactly one telemetry call per occurrence.
 ///
 /// Cloning is `O(1)`. The handle is `Send + Sync`; concurrent recorders
 /// serialize on an internal mutex (uncontended in the deterministic
@@ -400,48 +400,25 @@ fn trace_jsonl_of(sink: &Sink) -> String {
     out
 }
 
-/// Maps an event to the metrics it implies, so instrumentation points make
-/// a single `record` call.
+/// Maps an event to the registry metrics it implies, so instrumentation
+/// points make a single `record` call. A count that a `SessionStats` field
+/// already keeps (frames, stalls, messages, pace adjustments, rollbacks)
+/// is not derived here: the struct is its one definition.
 fn derive_metrics(m: &mut MetricsRegistry, kind: &EventKind) {
     match *kind {
-        EventKind::FrameBegun { .. } => {}
         EventKind::FrameExecuted { frame_time, .. } => {
-            m.counter_add("frames_total", 1);
             m.observe("frame_time_us", frame_time.as_micros());
-        }
-        EventKind::StallBegin { .. } => {
-            m.counter_add("stalls_total", 1);
         }
         EventKind::StallEnd { duration, .. } => {
             m.observe("stall_us", duration.as_micros());
         }
-        EventKind::InputSent {
-            count,
-            retransmitted,
-            ..
-        } => {
-            m.counter_add("input_messages_sent_total", 1);
-            m.counter_add("input_frames_sent_total", count as u64);
+        EventKind::InputSent { retransmitted, .. } => {
             m.counter_add("retransmitted_frames_sent_total", retransmitted as u64);
         }
-        EventKind::InputReceived {
-            count,
-            fresh,
-            duplicate,
-            ..
-        } => {
-            m.counter_add("input_messages_received_total", 1);
+        EventKind::InputReceived { count, .. } => {
             m.counter_add("input_frames_received_total", count as u64);
-            m.counter_add(
-                "retransmitted_frames_received_total",
-                (count - fresh) as u64,
-            );
-            if duplicate {
-                m.counter_add("duplicate_messages_received_total", 1);
-            }
         }
         EventKind::PaceAdjustment { delta } => {
-            m.counter_add("pace_adjustments_total", 1);
             m.observe("pace_adjust_us", delta.abs().as_micros());
         }
         EventKind::RttSample { rtt } => {
@@ -473,13 +450,8 @@ fn derive_metrics(m: &mut MetricsRegistry, kind: &EventKind) {
         EventKind::InputMispredicted { .. } => {
             m.counter_add("mispredicted_frames_total", 1);
         }
-        EventKind::RollbackExecuted {
-            depth, resimulated, ..
-        } => {
-            m.counter_add("rollbacks_total", 1);
-            m.counter_add("resimulated_frames_total", resimulated);
+        EventKind::RollbackExecuted { depth, .. } => {
             m.observe("rollback_depth_frames", depth);
-            m.observe("resimulated_frames", resimulated);
         }
         EventKind::Span { .. } => {
             m.counter_add("spans_recorded_total", 1);
@@ -489,7 +461,9 @@ fn derive_metrics(m: &mut MetricsRegistry, kind: &EventKind) {
                 m.counter_add("relay_spectators_total", 1);
             }
         }
-        EventKind::RelayEvicted { .. } => {}
+        EventKind::FrameBegun { .. }
+        | EventKind::StallBegin { .. }
+        | EventKind::RelayEvicted { .. } => {}
     }
 }
 
@@ -559,11 +533,24 @@ mod tests {
                 duplicate: true,
             },
         );
-        assert_eq!(t.counter("frames_total"), 1);
-        assert_eq!(t.counter("input_messages_received_total"), 2);
-        assert_eq!(t.counter("retransmitted_frames_received_total"), 3 + 4);
-        assert_eq!(t.counter("duplicate_messages_received_total"), 1);
+        t.record(
+            SimTime::from_millis(4),
+            EventKind::InputSent {
+                to: 1,
+                first: 0,
+                count: 3,
+                retransmitted: 2,
+            },
+        );
         assert!(t.percentile("frame_time_us", 0.5).unwrap() >= 16_667);
+        // Only the counters no `SessionStats` field keeps are derived.
+        assert!(
+            t.metrics_json().starts_with(
+                "{\"counters\":{\"input_frames_received_total\":8,\"retransmitted_frames_sent_total\":2},"
+            ),
+            "{}",
+            t.metrics_json()
+        );
     }
 
     #[test]
@@ -589,7 +576,7 @@ mod tests {
         t.clear();
         assert!(t.is_enabled());
         assert_eq!(t.event_count(), 0);
-        assert_eq!(t.counter("frames_total"), 0);
+        assert_eq!(t.metrics_json(), MetricsRegistry::new().to_json());
     }
 
     #[test]
@@ -667,7 +654,6 @@ mod tests {
             EventKind::RollbackExecuted {
                 to_frame: 10,
                 depth: 3,
-                resimulated: 4,
             },
         );
         assert!(t.take_anomaly().is_some(), "tightened depth threshold");

@@ -39,7 +39,7 @@
 //!     EventKind::FrameExecuted { frame: 0, frame_time: SimDuration::from_millis(16) },
 //! );
 //! assert_eq!(tel.event_count(), 1);
-//! assert_eq!(tel.counter("frames_total"), 1);
+//! assert_eq!(tel.percentile("frame_time_us", 0.5), Some(16_000));
 //! assert!(tel.prometheus().contains("coplay_frame_time_us{quantile=\"0.5\"}"));
 //! ```
 

@@ -375,9 +375,9 @@ mod tests {
     fn registry_counters_and_gauges() {
         let mut m = MetricsRegistry::new();
         assert!(m.is_empty());
-        m.counter_add("frames_total", 2);
-        m.counter_add("frames_total", 3);
-        assert_eq!(m.counter("frames_total"), 5);
+        m.counter_add("requests_total", 2);
+        m.counter_add("requests_total", 3);
+        assert_eq!(m.counter("requests_total"), 5);
         assert_eq!(m.counter("never_touched"), 0);
         m.gauge_set("srtt_us", 200);
         m.gauge_set("srtt_us", 150);
@@ -388,13 +388,13 @@ mod tests {
     #[test]
     fn prometheus_exposition_shape() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("frames_total", 600);
+        m.counter_add("requests_total", 600);
         m.gauge_set("srtt_us", 200_000);
         for v in 0..100u64 {
             m.observe("frame_time_us", 16_000 + v);
         }
         let text = m.prometheus("coplay");
-        assert!(text.contains("# TYPE coplay_frames_total counter\ncoplay_frames_total 600\n"));
+        assert!(text.contains("# TYPE coplay_requests_total counter\ncoplay_requests_total 600\n"));
         assert!(text.contains("# TYPE coplay_srtt_us gauge\ncoplay_srtt_us 200000\n"));
         assert!(text.contains("# TYPE coplay_frame_time_us summary"));
         assert!(text.contains("coplay_frame_time_us{quantile=\"0.5\"}"));

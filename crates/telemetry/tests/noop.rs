@@ -46,7 +46,7 @@ fn disabled_sink_adds_no_events_and_never_allocates() {
                     frame_time: SimDuration::from_micros(16_667),
                 },
             );
-            tel.counter_add("frames_total", 1);
+            tel.counter_add("peers_joined_total", 1);
             tel.observe("frame_time_us", 16_667);
             tel.gauge_set("srtt_us", 42);
         }
@@ -67,5 +67,5 @@ fn disabled_sink_adds_no_events_and_never_allocates() {
 
     assert_eq!(best, 0, "no-op sink must not allocate on the hot path");
     assert_eq!(tel.event_count(), 0, "no-op sink must not record events");
-    assert_eq!(tel.counter("frames_total"), 0);
+    assert_eq!(tel.counter("peers_joined_total"), 0);
 }

@@ -118,11 +118,11 @@ fn main() {
     let (recording, host_final, stats) = jh.join().expect("host").expect("host ran");
     let join_hashes = jj.join().expect("joiner").expect("joiner ran");
     println!(
-        "played {FRAMES} frames: {} msgs sent, {} received, {} stalls, retransmission ratio {:.2}",
+        "played {FRAMES} frames: {} msgs sent, {} received, {} input frames sent, {} stalls",
         stats.input_messages_sent,
         stats.input_messages_received,
+        stats.input_frames_sent,
         stats.stalled_frames,
-        stats.retransmission_ratio()
     );
     assert_eq!(
         join_hashes.last().copied(),

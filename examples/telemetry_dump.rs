@@ -1,8 +1,8 @@
 //! Flight-recorder tour: run a deliberately bad network (200 ms RTT, 5%
 //! loss — past the paper's full-speed threshold) with frame-lifecycle
-//! tracing on, and read the telemetry a netplay operator would: a
-//! cross-site span timeline for one frame, the JSONL event trail, and the
-//! Prometheus exposition.
+//! tracing on, and read the telemetry a netplay operator would: the
+//! session counters, a cross-site span timeline for one frame, the JSONL
+//! event trail, and the Prometheus exposition of the master's registry.
 //!
 //! ```text
 //! cargo run --release --example telemetry_dump
@@ -29,7 +29,7 @@ fn main() {
     println!(
         "converged: {}   stalls at master: {}   packets dropped: {}\n",
         r.converged,
-        r.telemetry[0].counter("stalls_total"),
+        r.session_stats[0].stalled_frames,
         r.net_telemetry.counter("packets_dropped_total"),
     );
 
@@ -86,10 +86,10 @@ fn main() {
         }
     }
 
-    println!("\n--- Prometheus exposition (what a lobby MetricsRequest returns) ---");
+    println!("\n--- Prometheus exposition of the master's telemetry registry ---");
     for line in master.prometheus().lines() {
         if line.contains("frame_time_us")
-            || line.contains("stalls_total")
+            || line.contains("stall_us")
             || line.contains("spans_recorded")
         {
             println!("{line}");

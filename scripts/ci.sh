@@ -68,6 +68,11 @@ echo "==> tracescope smoke (cross-site span merge; fails if breakdown != e2e wit
 cargo run -q --release -p coplay-bench --bin tracescope -- --quick
 cargo run -q --release -p coplay-bench --bin tracescope -- --quick --rollback
 
+echo "==> telemetry_dump smoke (session counters, span timeline, JSONL trail, Prometheus text)"
+# The one runnable reader of a session's exported metrics; it asserts
+# that tracing produced spans, so a run that breaks the export fails here.
+cargo run -q --release --example telemetry_dump > /dev/null
+
 echo "==> relay tests (routing core, wire codec, client adapter, UDP loop)"
 cargo test -q -p coplay-relay
 
