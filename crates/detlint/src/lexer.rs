@@ -94,24 +94,6 @@ fn parse_directive(body: &str, line: u32) -> AllowDirective {
     }
 }
 
-/// Parses the numeric value of an [`TokenKind::IntLit`] token's text:
-/// underscores dropped, type suffix ignored, `0x`/`0o`/`0b` radix honoured.
-pub fn int_value(text: &str) -> Option<u64> {
-    let clean: String = text.chars().filter(|c| *c != '_').collect();
-    let (radix, digits) = match clean.as_bytes() {
-        [b'0', b'x', ..] => (16, &clean[2..]),
-        [b'0', b'o', ..] => (8, &clean[2..]),
-        [b'0', b'b', ..] => (2, &clean[2..]),
-        _ => (10, clean.as_str()),
-    };
-    // Stop at the type suffix (`u8`, `usize`, …); hex digits are consumed
-    // first, so `0xFFu8` splits after `FF`.
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    u64::from_str_radix(&digits[..end], radix).ok()
-}
-
 fn is_ident_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_'
 }
@@ -452,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn int_literals_are_tokens_with_values() {
+    fn int_literals_are_tokens() {
         let ints: Vec<String> = scan("const VERSION: u8 = 3; const MAGIC: u8 = 0xC6;")
             .tokens
             .into_iter()
@@ -460,11 +442,6 @@ mod tests {
             .map(|t| t.text)
             .collect();
         assert_eq!(ints, vec!["3", "0xC6"]);
-        assert_eq!(int_value("3"), Some(3));
-        assert_eq!(int_value("0xC6"), Some(0xC6));
-        assert_eq!(int_value("0xFFu8"), Some(255));
-        assert_eq!(int_value("65_536u32"), Some(65_536));
-        assert_eq!(int_value("0b1010"), Some(10));
     }
 
     #[test]

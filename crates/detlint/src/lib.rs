@@ -25,11 +25,8 @@
 //! | `unchecked_index` | slice indexing (`b[0]`, `&b[..n]`) | byte codecs |
 //! | `hot_alloc` | `Vec::new`, `to_vec`, `clone`, `format!`, … | PR 4–5's zero-alloc modules |
 //!
-//! plus a wire-schema drift pass ([`wire_schema`]) that recovers each
-//! codec's per-message field layout from its encode/decode token streams,
-//! cross-checks symmetry, and pins a layout fingerprint in
-//! `results/wire_schema.json` so CI fails when the wire changes without a
-//! `VERSION` bump.
+//! Wire-layout drift is not a lint: the golden datagrams in the root
+//! `tests/wire_golden.rs` pin every message's bytes.
 //!
 //! Violations can only be waived in-line, with a reason:
 //!
@@ -46,7 +43,6 @@ pub mod lexer;
 pub mod policy;
 pub mod report;
 pub mod rules;
-pub mod wire_schema;
 
 use std::fs;
 use std::io;

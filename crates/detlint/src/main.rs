@@ -1,5 +1,5 @@
 //! `detlint` — runs the coplay-lint suite (determinism, panic-path,
-//! hot-alloc, waiver hygiene, wire-schema drift) over the workspace.
+//! hot-alloc, waiver hygiene) over the workspace.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -43,13 +43,6 @@ pub const BAD_SUPPRESSION: &str = "bad_suppression";
 /// finding is dead armour and must be removed, not re-waived.
 pub const STALE_SUPPRESSION: &str = "stale_suppression";
 
-/// Rule id for encode/decode asymmetry found by the wire-schema pass.
-pub const WIRE_ASYMMETRY: &str = "wire_asymmetry";
-
-/// Rule id for wire-schema extraction failures (a codec the pass can no
-/// longer read is a codec CI can no longer guard).
-pub const WIRE_SCHEMA: &str = "wire_schema";
-
 impl Rule {
     /// Every rule, in reporting order.
     pub const ALL: [Rule; 8] = [

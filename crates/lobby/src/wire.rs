@@ -9,7 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
-use coplay_net::bytes::{Buf, BytesMut};
+use coplay_net::bytes::{Buf, BufMut};
 use coplay_net::PeerId;
 
 const MAGIC: u8 = 0xC6;
@@ -202,7 +202,7 @@ fn truncate_name(name: &str) -> &[u8] {
 impl LobbyMessage {
     /// Encodes to one datagram payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = BytesMut::with_capacity(32);
+        let mut b = Vec::with_capacity(32);
         b.put_u8(MAGIC);
         b.put_u8(VERSION);
         match self {
@@ -277,7 +277,7 @@ impl LobbyMessage {
                 b.put_slice(text);
             }
         }
-        b.to_vec()
+        b
     }
 
     /// Decodes one datagram.

@@ -1,10 +1,11 @@
 //! Minimal in-tree byte-buffer utilities for wire codecs.
 //!
 //! A small subset of the familiar `bytes`-crate API — enough for the
-//! little-endian datagram codecs in `coplay-sync` and `coplay-lobby` —
-//! implemented locally because the build environment is offline, plus
-//! the two compact encodings of the sync input message: LEB128 varints
-//! and sparse words (a presence mask, then the non-zero bytes).
+//! little-endian datagram codecs in `coplay-sync`, `coplay-lobby` and
+//! `coplay-relay` — implemented locally because the build environment is
+//! offline, plus the two compact encodings of the sync input message:
+//! LEB128 varints and sparse words (a presence mask, then the non-zero
+//! bytes).
 //!
 //! Fixed-width reads are cursor-style over a plain `&[u8]` and are
 //! **total**: a getter on a too-short slice drains it and returns zero
@@ -251,61 +252,6 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// A growable byte buffer with little-endian append helpers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer with room for `cap` bytes.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u16` in little-endian order.
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32` in little-endian order.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` in little-endian order.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a byte slice verbatim.
-    pub fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Copies the contents into a fresh `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.buf.clone()
-    }
-}
-
 /// An immutable, cheaply clonable byte string (shared via `Arc`).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Bytes {
@@ -374,13 +320,12 @@ mod tests {
 
     #[test]
     fn roundtrip_all_widths() {
-        let mut w = BytesMut::with_capacity(16);
-        w.put_u8(0xAB);
-        w.put_u16_le(0x0102);
-        w.put_u32_le(0x0304_0506);
-        w.put_u64_le(0x0708_090A_0B0C_0D0E);
-        w.put_slice(b"xy");
-        let v = w.to_vec();
+        let mut v = Vec::new();
+        v.put_u8(0xAB);
+        v.put_u16_le(0x0102);
+        v.put_u32_le(0x0304_0506);
+        v.put_u64_le(0x0708_090A_0B0C_0D0E);
+        v.put_slice(b"xy");
         assert_eq!(v.len(), 17);
 
         let mut r: &[u8] = &v;
@@ -392,24 +337,6 @@ mod tests {
         assert_eq!(r, b"xy");
         r.advance(2);
         assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn vec_bufmut_matches_bytesmut() {
-        let mut w = BytesMut::with_capacity(16);
-        w.put_u8(0xAB);
-        w.put_u16_le(0x0102);
-        w.put_u32_le(0x0304_0506);
-        w.put_u64_le(0x0708_090A_0B0C_0D0E);
-        w.put_slice(b"xy");
-
-        let mut v: Vec<u8> = Vec::new();
-        BufMut::put_u8(&mut v, 0xAB);
-        BufMut::put_u16_le(&mut v, 0x0102);
-        BufMut::put_u32_le(&mut v, 0x0304_0506);
-        BufMut::put_u64_le(&mut v, 0x0708_090A_0B0C_0D0E);
-        BufMut::put_slice(&mut v, b"xy");
-        assert_eq!(v, w.to_vec());
     }
 
     #[test]

