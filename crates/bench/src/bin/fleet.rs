@@ -27,8 +27,7 @@ use coplay_bench::{write_results_json, Better, Guard};
 use coplay_clock::{EventQueue, SimDuration, SimTime};
 use coplay_net::bytes::{Buf, BufMut};
 use coplay_net::{NetemChannel, NetemConfig};
-use coplay_relay::wire::{self, RelayMessage};
-use coplay_relay::{RelayConfig, RelayCore};
+use coplay_relay::{RelayConfig, RelayCore, RelayMessage, DEST_BROADCAST};
 
 /// Throughput metrics fail the guard below `baseline / REGRESSION_FACTOR`;
 /// cost metrics fail above `baseline * REGRESSION_FACTOR` (plus a floor).
@@ -235,8 +234,11 @@ fn run_fleet(o: &FleetOptions) -> FleetResult {
                 } else if c.sent < o.forwards_per_player {
                     c.sent += 1;
                     let payload = forward_payload(c.sent, now);
-                    let mut bytes = Vec::new();
-                    wire::encode_forward_into(&mut bytes, wire::DEST_BROADCAST, &payload);
+                    let bytes = RelayMessage::Forward {
+                        dest: DEST_BROADCAST,
+                        payload: &payload,
+                    }
+                    .encode();
                     // The partner should see this; the session's spectator
                     // (if any) also counts toward fan-out but not drops.
                     expected_deliveries += 1;
@@ -276,19 +278,21 @@ fn run_fleet(o: &FleetOptions) -> FleetResult {
             }
             Ev::ToClient { client, bytes } => {
                 let c = &mut clients[client as usize];
-                if let Ok((_from_site, payload)) = wire::decode_deliver(&bytes) {
-                    c.received += 1;
-                    if !c.spectator {
-                        if let Some(sent_at) = payload_send_time(payload) {
-                            latencies_us.push(now.saturating_since(sent_at).as_micros());
+                match RelayMessage::decode(&bytes) {
+                    Ok(RelayMessage::Deliver { payload, .. }) => {
+                        c.received += 1;
+                        if !c.spectator {
+                            if let Some(sent_at) = payload_send_time(payload) {
+                                latencies_us.push(now.saturating_since(sent_at).as_micros());
+                            }
                         }
                     }
-                } else if let Ok(RelayMessage::Registered { .. }) = RelayMessage::decode(&bytes) {
-                    if !c.registered {
+                    Ok(RelayMessage::Registered { .. }) if !c.registered => {
                         c.registered = true;
                         // Start the paced sends right away.
                         queue.schedule(now, Ev::Tick { client });
                     }
+                    _ => {}
                 }
             }
         }

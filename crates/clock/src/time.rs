@@ -34,8 +34,8 @@ pub struct SimTime(u64);
 /// ```
 /// use coplay_clock::SimDuration;
 ///
-/// let frame = SimDuration::from_nanos_rounded(16_666_667);
-/// assert_eq!(frame.as_micros(), 16_667);
+/// let frame = SimDuration::from_micros(16_667);
+/// assert_eq!(frame.as_millis(), 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
@@ -141,11 +141,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000)
     }
 
-    /// Creates a span from nanoseconds, rounding to the nearest microsecond.
-    pub const fn from_nanos_rounded(nanos: u64) -> Self {
-        SimDuration((nanos + 500) / 1_000)
-    }
-
     /// The span in whole microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -171,19 +166,9 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
-    /// This span as a signed [`SimDelta`].
-    pub const fn as_delta(self) -> SimDelta {
-        SimDelta(self.0 as i64)
-    }
-
     /// Converts to a [`std::time::Duration`] for use with the OS.
     pub const fn to_std(self) -> Duration {
         Duration::from_micros(self.0)
-    }
-
-    /// Converts from a [`std::time::Duration`], truncating to microseconds.
-    pub const fn from_std(d: Duration) -> Self {
-        SimDuration(d.as_micros() as u64)
     }
 }
 
@@ -214,11 +199,6 @@ impl SimDelta {
     /// `true` if the delta is strictly negative.
     pub const fn is_negative(self) -> bool {
         self.0 < 0
-    }
-
-    /// `true` if the delta is strictly positive.
-    pub const fn is_positive(self) -> bool {
-        self.0 > 0
     }
 
     /// The absolute value as an unsigned duration.
@@ -391,20 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_duration_rounds_from_nanos() {
-        // 1/60s: 16_666_666.7ns -> 16_667us.
-        assert_eq!(
-            SimDuration::from_nanos_rounded(16_666_667).as_micros(),
-            16_667
-        );
-        assert_eq!(SimDuration::from_nanos_rounded(499).as_micros(), 0);
-        assert_eq!(SimDuration::from_nanos_rounded(500).as_micros(), 1);
-    }
-
-    #[test]
     fn std_duration_conversions() {
-        let d = SimDuration::from_millis(16);
-        assert_eq!(SimDuration::from_std(d.to_std()), d);
+        assert_eq!(
+            SimDuration::from_millis(16).to_std(),
+            Duration::from_millis(16)
+        );
     }
 
     #[test]

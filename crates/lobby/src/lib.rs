@@ -29,6 +29,5 @@ mod wire;
 pub use client::{join_session, list_sessions, register_session, LobbyError, Slot};
 pub use server::{LobbyServer, SESSION_TTL};
 pub use wire::{
-    JoinRefusal, LobbyMessage, LobbyWireError, SessionEntry, SessionId, MAX_LISTED,
-    MAX_METRICS_TEXT, MAX_NAME,
+    JoinRefusal, LobbyMessage, SessionEntry, SessionId, MAX_LISTED, MAX_METRICS_TEXT, MAX_NAME,
 };

@@ -6,10 +6,9 @@
 //! retransmit requests until answered (the server is stateless per
 //! request).
 
-use std::error::Error;
 use std::fmt;
 
-use coplay_net::bytes::{Buf, BufMut};
+use coplay_net::bytes::{Buf, BufMut, WireError};
 use coplay_net::PeerId;
 
 const MAGIC: u8 = 0xC6;
@@ -126,38 +125,6 @@ pub enum LobbyMessage {
     },
 }
 
-/// Errors decoding a lobby datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LobbyWireError {
-    /// Not a lobby datagram.
-    BadMagic,
-    /// Unsupported version.
-    BadVersion(u8),
-    /// Unknown message type.
-    UnknownType(u8),
-    /// Datagram shorter than advertised.
-    Truncated,
-    /// A length field exceeds its cap.
-    TooLarge,
-    /// Name bytes are not UTF-8.
-    BadName,
-}
-
-impl fmt::Display for LobbyWireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LobbyWireError::BadMagic => write!(f, "not a lobby datagram"),
-            LobbyWireError::BadVersion(v) => write!(f, "unsupported lobby version {v}"),
-            LobbyWireError::UnknownType(t) => write!(f, "unknown lobby message type {t}"),
-            LobbyWireError::Truncated => write!(f, "lobby datagram truncated"),
-            LobbyWireError::TooLarge => write!(f, "lobby length field exceeds cap"),
-            LobbyWireError::BadName => write!(f, "session name is not valid UTF-8"),
-        }
-    }
-}
-
-impl Error for LobbyWireError {}
-
 mod ty {
     pub const REGISTER: u8 = 1;
     pub const REGISTERED: u8 = 2;
@@ -170,6 +137,12 @@ mod ty {
     pub const REFUSED: u8 = 9;
     pub const METRICS_REQUEST: u8 = 10;
     pub const METRICS_REPORT: u8 = 11;
+}
+
+/// Reads a length-prefixed UTF-8 text field (see [`Buf::get_field`]).
+fn get_text(b: &mut &[u8], width: usize, cap: usize) -> Result<String, WireError> {
+    let raw = b.get_field(width, cap)?;
+    String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed)
 }
 
 /// Truncates a metrics exposition to `MAX_METRICS_TEXT` bytes, cutting at
@@ -203,15 +176,13 @@ impl LobbyMessage {
     /// Encodes to one datagram payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);
-        b.put_u8(MAGIC);
-        b.put_u8(VERSION);
         match self {
             LobbyMessage::Register {
                 name,
                 rom_hash,
                 slots,
             } => {
-                b.put_u8(ty::REGISTER);
+                b.put_header(MAGIC, VERSION, ty::REGISTER);
                 let name = truncate_name(name);
                 b.put_u8(name.len() as u8);
                 b.put_slice(name);
@@ -219,20 +190,20 @@ impl LobbyMessage {
                 b.put_u8(*slots);
             }
             LobbyMessage::Registered { id } => {
-                b.put_u8(ty::REGISTERED);
+                b.put_header(MAGIC, VERSION, ty::REGISTERED);
                 b.put_u32_le(id.0);
             }
             LobbyMessage::Unregister { id } => {
-                b.put_u8(ty::UNREGISTER);
+                b.put_header(MAGIC, VERSION, ty::UNREGISTER);
                 b.put_u32_le(id.0);
             }
             LobbyMessage::Heartbeat { id } => {
-                b.put_u8(ty::HEARTBEAT);
+                b.put_header(MAGIC, VERSION, ty::HEARTBEAT);
                 b.put_u32_le(id.0);
             }
-            LobbyMessage::List => b.put_u8(ty::LIST),
+            LobbyMessage::List => b.put_header(MAGIC, VERSION, ty::LIST),
             LobbyMessage::Listing { sessions } => {
-                b.put_u8(ty::LISTING);
+                b.put_header(MAGIC, VERSION, ty::LISTING);
                 b.put_u8(sessions.len().min(MAX_LISTED) as u8);
                 for s in sessions.iter().take(MAX_LISTED) {
                     b.put_u32_le(s.id.0);
@@ -246,7 +217,7 @@ impl LobbyMessage {
                 }
             }
             LobbyMessage::Join { id } => {
-                b.put_u8(ty::JOIN);
+                b.put_header(MAGIC, VERSION, ty::JOIN);
                 b.put_u32_le(id.0);
             }
             LobbyMessage::Joined {
@@ -255,23 +226,23 @@ impl LobbyMessage {
                 site,
                 rom_hash,
             } => {
-                b.put_u8(ty::JOINED);
+                b.put_header(MAGIC, VERSION, ty::JOINED);
                 b.put_u32_le(id.0);
                 b.put_u8(host.0);
                 b.put_u8(*site);
                 b.put_u64_le(*rom_hash);
             }
             LobbyMessage::Refused { id, reason } => {
-                b.put_u8(ty::REFUSED);
+                b.put_header(MAGIC, VERSION, ty::REFUSED);
                 b.put_u32_le(id.0);
                 b.put_u8(match reason {
                     JoinRefusal::Unknown => 0,
                     JoinRefusal::Full => 1,
                 });
             }
-            LobbyMessage::MetricsRequest => b.put_u8(ty::METRICS_REQUEST),
+            LobbyMessage::MetricsRequest => b.put_header(MAGIC, VERSION, ty::METRICS_REQUEST),
             LobbyMessage::MetricsReport { text } => {
-                b.put_u8(ty::METRICS_REPORT);
+                b.put_header(MAGIC, VERSION, ty::METRICS_REPORT);
                 let text = truncate_exposition(text);
                 b.put_u32_le(text.len() as u32);
                 b.put_slice(text);
@@ -284,44 +255,14 @@ impl LobbyMessage {
     ///
     /// # Errors
     ///
-    /// Any [`LobbyWireError`]; decoding arbitrary bytes never panics.
-    pub fn decode(data: &[u8]) -> Result<LobbyMessage, LobbyWireError> {
+    /// Any [`WireError`]; decoding arbitrary bytes never panics. A name or
+    /// metrics text that is not UTF-8 is [`WireError::Malformed`].
+    pub fn decode(data: &[u8]) -> Result<LobbyMessage, WireError> {
         let mut b = data;
-        if b.remaining() < 3 {
-            return Err(LobbyWireError::Truncated);
-        }
-        if b.get_u8() != MAGIC {
-            return Err(LobbyWireError::BadMagic);
-        }
-        let v = b.get_u8();
-        if v != VERSION {
-            return Err(LobbyWireError::BadVersion(v));
-        }
-        let t = b.get_u8();
-        macro_rules! need {
-            ($n:expr) => {
-                if b.remaining() < $n {
-                    return Err(LobbyWireError::Truncated);
-                }
-            };
-        }
-        fn get_name(b: &mut &[u8]) -> Result<String, LobbyWireError> {
-            if b.remaining() < 1 {
-                return Err(LobbyWireError::Truncated);
-            }
-            let n = b.get_u8() as usize;
-            if n > MAX_NAME {
-                return Err(LobbyWireError::TooLarge);
-            }
-            let Some(raw) = b.try_take(n) else {
-                return Err(LobbyWireError::Truncated);
-            };
-            String::from_utf8(raw.to_vec()).map_err(|_| LobbyWireError::BadName)
-        }
-        Ok(match t {
+        Ok(match b.get_header(MAGIC, VERSION)? {
             ty::REGISTER => {
-                let name = get_name(&mut b)?;
-                need!(9);
+                let name = get_text(&mut b, 1, MAX_NAME)?;
+                b.need(9)?;
                 LobbyMessage::Register {
                     name,
                     rom_hash: b.get_u64_le(),
@@ -329,36 +270,36 @@ impl LobbyMessage {
                 }
             }
             ty::REGISTERED => {
-                need!(4);
+                b.need(4)?;
                 LobbyMessage::Registered {
                     id: SessionId(b.get_u32_le()),
                 }
             }
             ty::UNREGISTER => {
-                need!(4);
+                b.need(4)?;
                 LobbyMessage::Unregister {
                     id: SessionId(b.get_u32_le()),
                 }
             }
             ty::HEARTBEAT => {
-                need!(4);
+                b.need(4)?;
                 LobbyMessage::Heartbeat {
                     id: SessionId(b.get_u32_le()),
                 }
             }
             ty::LIST => LobbyMessage::List,
             ty::LISTING => {
-                need!(1);
+                b.need(1)?;
                 let n = b.get_u8() as usize;
                 if n > MAX_LISTED {
-                    return Err(LobbyWireError::TooLarge);
+                    return Err(WireError::TooLarge);
                 }
                 let mut sessions = Vec::with_capacity(n);
                 for _ in 0..n {
-                    need!(4);
+                    b.need(4)?;
                     let id = SessionId(b.get_u32_le());
-                    let name = get_name(&mut b)?;
-                    need!(11);
+                    let name = get_text(&mut b, 1, MAX_NAME)?;
+                    b.need(11)?;
                     sessions.push(SessionEntry {
                         id,
                         name,
@@ -371,13 +312,13 @@ impl LobbyMessage {
                 LobbyMessage::Listing { sessions }
             }
             ty::JOIN => {
-                need!(4);
+                b.need(4)?;
                 LobbyMessage::Join {
                     id: SessionId(b.get_u32_le()),
                 }
             }
             ty::JOINED => {
-                need!(4 + 1 + 1 + 8);
+                b.need(4 + 1 + 1 + 8)?;
                 LobbyMessage::Joined {
                     id: SessionId(b.get_u32_le()),
                     host: PeerId(b.get_u8()),
@@ -386,7 +327,7 @@ impl LobbyMessage {
                 }
             }
             ty::REFUSED => {
-                need!(5);
+                b.need(5)?;
                 LobbyMessage::Refused {
                     id: SessionId(b.get_u32_le()),
                     reason: if b.get_u8() == 1 {
@@ -397,19 +338,10 @@ impl LobbyMessage {
                 }
             }
             ty::METRICS_REQUEST => LobbyMessage::MetricsRequest,
-            ty::METRICS_REPORT => {
-                need!(4);
-                let n = b.get_u32_le() as usize;
-                if n > MAX_METRICS_TEXT {
-                    return Err(LobbyWireError::TooLarge);
-                }
-                let Some(raw) = b.try_take(n) else {
-                    return Err(LobbyWireError::Truncated);
-                };
-                let text = String::from_utf8(raw.to_vec()).map_err(|_| LobbyWireError::BadName)?;
-                LobbyMessage::MetricsReport { text }
-            }
-            other => return Err(LobbyWireError::UnknownType(other)),
+            ty::METRICS_REPORT => LobbyMessage::MetricsReport {
+                text: get_text(&mut b, 4, MAX_METRICS_TEXT)?,
+            },
+            other => return Err(WireError::UnknownType(other)),
         })
     }
 }
@@ -505,23 +437,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(LobbyMessage::decode(&[]), Err(LobbyWireError::Truncated));
-        assert_eq!(
-            LobbyMessage::decode(&[0x00, VERSION, 1]),
-            Err(LobbyWireError::BadMagic)
-        );
-        assert_eq!(
-            LobbyMessage::decode(&[MAGIC, 9, 1]),
-            Err(LobbyWireError::BadVersion(9))
-        );
-        assert_eq!(
-            LobbyMessage::decode(&[MAGIC, VERSION, 200]),
-            Err(LobbyWireError::UnknownType(200))
-        );
     }
 
     #[test]

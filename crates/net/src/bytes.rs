@@ -1,51 +1,101 @@
-//! Minimal in-tree byte-buffer utilities for wire codecs.
+//! The datagram frame and byte-buffer utilities shared by the wire codecs.
 //!
-//! A small subset of the familiar `bytes`-crate API — enough for the
-//! little-endian datagram codecs in `coplay-sync`, `coplay-lobby` and
-//! `coplay-relay` — implemented locally because the build environment is
-//! offline, plus the two compact encodings of the sync input message:
-//! LEB128 varints and sparse words (a presence mask, then the non-zero
-//! bytes).
+//! Every codec — sync (`0xC5`), lobby (`0xC6`) and relay (`0xC7`) — writes
+//! the same frame: a three-byte header (magic, version, message type) and
+//! then the message's fields, little-endian. This module holds that frame
+//! once: the [`WireError`] every decoder returns, the header writer
+//! ([`BufMut::put_header`]) and reader ([`Buf::get_header`]), the length
+//! gate ([`Buf::need`]) and the reader for a capped, length-prefixed byte
+//! field ([`Buf::get_field`]). A codec keeps only its magic byte, its
+//! version, its type tags and its field layouts. It also holds the two
+//! compact encodings of the sync input message: LEB128 varints and sparse
+//! words (a presence mask, then the non-zero bytes). Everything is local
+//! because the build environment is offline.
 //!
 //! Fixed-width reads are cursor-style over a plain `&[u8]` and are
 //! **total**: a getter on a too-short slice drains it and returns zero
 //! instead of panicking, so decoders stay panic-free on arbitrary bytes
 //! even if a bounds check is missed. Decoders still gate correctness on
-//! [`Buf::remaining`] (wrapped in their `need!` macros). The variable-
-//! length reads cannot be length-checked up front, so they return a
-//! [`ReadError`] instead.
+//! [`Buf::need`]. The variable-length reads cannot be length-checked up
+//! front, so they return a [`WireError`] instead.
 
-use std::ops::Deref;
-use std::sync::Arc;
+use std::error::Error;
+use std::fmt;
 
-/// Why a checked read ([`Buf::get_varint`], [`Buf::get_sparse_u32`])
-/// failed.
+/// Why a datagram failed to decode. A UDP port receives arbitrary bytes,
+/// so every codec reports every failure as one of these, never a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadError {
-    /// The slice ended inside the value.
+pub enum WireError {
+    /// The datagram ended inside its header or a field.
     Truncated,
-    /// The bytes are not a value of the encoding: a varint longer than
-    /// ten bytes or above `u64::MAX`, or a presence mask with bits above
-    /// the fourth byte.
+    /// Wrong magic byte: a datagram of another protocol.
+    BadMagic,
+    /// A build speaking another version of the protocol.
+    BadVersion(u8),
+    /// Unknown message type byte.
+    UnknownType(u8),
+    /// A length field exceeds its hard cap.
+    TooLarge,
+    /// A field is not a value of its encoding: a varint longer than ten
+    /// bytes or above `u64::MAX`, a presence mask with bits above the
+    /// fourth byte, a zero-length run, or text that is not UTF-8.
     Malformed,
 }
 
-/// Cursor-style reads from a shrinking `&[u8]`.
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WireError::Truncated => write!(f, "datagram truncated"),
+            WireError::BadMagic => write!(f, "bad magic byte"),
+            WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
+            WireError::UnknownType(t) => write!(f, "unknown message type {t}"),
+            WireError::TooLarge => write!(f, "length field exceeds protocol cap"),
+            WireError::Malformed => write!(f, "malformed field"),
+        }
+    }
+}
+
+impl Error for WireError {}
+
+/// Cursor-style reads from a shrinking `&'a [u8]`.
 ///
-/// Each getter consumes its bytes from the front of the slice. All
-/// reads are total: on underflow a getter drains the slice and returns
-/// zero, so no input — however truncated or adversarial — can panic a
-/// decoder. Callers that need to distinguish "read zero" from "ran
-/// out" check [`remaining`](Buf::remaining) first (the codecs wrap
-/// that in a `need!` macro) or use [`try_take`](Buf::try_take).
-pub trait Buf {
+/// Each getter consumes its bytes from the front of the slice. The
+/// fixed-width reads are total: on underflow a getter drains the slice and
+/// returns zero, so no input — however truncated or adversarial — can
+/// panic a decoder. Callers that need to distinguish "read zero" from "ran
+/// out" check [`need`](Buf::need) first or use [`try_take`](Buf::try_take).
+/// Borrowed reads return slices of the datagram itself (`'a`), not of the
+/// cursor, so a decoded message can borrow its payload zero-copy.
+pub trait Buf<'a> {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
-    /// Skips `n` bytes (all remaining bytes if fewer are left).
-    fn advance(&mut self, n: usize);
+    /// `Ok` if at least `n` bytes remain, else [`WireError::Truncated`].
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] if fewer than `n` bytes remain.
+    fn need(&self, n: usize) -> Result<(), WireError>;
     /// Consumes `n` bytes and returns them, or `None` (consuming
     /// nothing) if fewer than `n` remain.
-    fn try_take(&mut self, n: usize) -> Option<&[u8]>;
+    fn try_take(&mut self, n: usize) -> Option<&'a [u8]>;
+    /// Reads the frame header written by [`BufMut::put_header`], checks
+    /// its magic byte and version, and returns the message type byte.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] if fewer than three bytes remain,
+    /// [`WireError::BadMagic`] or [`WireError::BadVersion`] on a mismatch.
+    fn get_header(&mut self, magic: u8, version: u8) -> Result<u8, WireError>;
+    /// Reads a byte field written as a `width`-byte little-endian length
+    /// (1, 2 or 4 bytes) followed by that many bytes, and returns the
+    /// bytes. The length is checked against `cap` before anything is
+    /// taken, so no datagram can make its decoder hold more than `cap`.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TooLarge`] if the length exceeds `cap`,
+    /// [`WireError::Truncated`] if the slice ends inside the field.
+    fn get_field(&mut self, width: usize, cap: usize) -> Result<&'a [u8], WireError>;
     /// Reads one byte (`0` on underflow).
     fn get_u8(&mut self) -> u8;
     /// Reads a little-endian `u16` (`0` on underflow).
@@ -58,17 +108,17 @@ pub trait Buf {
     ///
     /// # Errors
     ///
-    /// [`ReadError::Truncated`] if the slice ends before the last byte,
-    /// [`ReadError::Malformed`] if the varint runs past ten bytes or
+    /// [`WireError::Truncated`] if the slice ends before the last byte,
+    /// [`WireError::Malformed`] if the varint runs past ten bytes or
     /// `u64::MAX`.
-    fn get_varint(&mut self) -> Result<u64, ReadError>;
+    fn get_varint(&mut self) -> Result<u64, WireError>;
     /// Reads a word written by [`BufMut::put_sparse_u32`].
     ///
     /// # Errors
     ///
-    /// [`ReadError::Truncated`] if a byte the mask announces is missing,
-    /// [`ReadError::Malformed`] if the mask has bits above the fourth byte.
-    fn get_sparse_u32(&mut self) -> Result<u32, ReadError>;
+    /// [`WireError::Truncated`] if a byte the mask announces is missing,
+    /// [`WireError::Malformed`] if the mask has bits above the fourth byte.
+    fn get_sparse_u32(&mut self) -> Result<u32, WireError>;
 }
 
 /// Reads a fixed-width little-endian integer, draining the slice and
@@ -91,27 +141,58 @@ macro_rules! get_le {
 
 /// Consumes one byte for a checked read.
 #[inline]
-fn next_byte(cursor: &mut &[u8]) -> Result<u8, ReadError> {
-    let (&byte, rest) = cursor.split_first().ok_or(ReadError::Truncated)?;
+fn next_byte(cursor: &mut &[u8]) -> Result<u8, WireError> {
+    let (&byte, rest) = cursor.split_first().ok_or(WireError::Truncated)?;
     *cursor = rest;
     Ok(byte)
 }
 
-impl Buf for &[u8] {
+impl<'a> Buf<'a> for &'a [u8] {
     fn remaining(&self) -> usize {
         self.len()
     }
 
-    fn advance(&mut self, n: usize) {
-        let s = *self;
-        *self = s.split_at_checked(n).map_or(&[], |(_, rest)| rest);
+    fn need(&self, n: usize) -> Result<(), WireError> {
+        if self.len() < n {
+            return Err(WireError::Truncated);
+        }
+        Ok(())
     }
 
-    fn try_take(&mut self, n: usize) -> Option<&[u8]> {
+    fn try_take(&mut self, n: usize) -> Option<&'a [u8]> {
         let s = *self;
         let (head, rest) = s.split_at_checked(n)?;
         *self = rest;
         Some(head)
+    }
+
+    #[inline]
+    fn get_header(&mut self, magic: u8, version: u8) -> Result<u8, WireError> {
+        let s = *self;
+        let Some((&[m, v, t], rest)) = s.split_first_chunk() else {
+            return Err(WireError::Truncated);
+        };
+        if m != magic {
+            return Err(WireError::BadMagic);
+        }
+        if v != version {
+            return Err(WireError::BadVersion(v));
+        }
+        *self = rest;
+        Ok(t)
+    }
+
+    #[inline]
+    fn get_field(&mut self, width: usize, cap: usize) -> Result<&'a [u8], WireError> {
+        let prefix = self.try_take(width).ok_or(WireError::Truncated)?;
+        let n = prefix
+            .iter()
+            .rev()
+            .fold(0usize, |n, &b| n << 8 | usize::from(b));
+        if n > cap {
+            return Err(WireError::TooLarge);
+        }
+        self.try_take(n).ok_or(WireError::Truncated)
     }
 
     fn get_u8(&mut self) -> u8 {
@@ -138,7 +219,7 @@ impl Buf for &[u8] {
     }
 
     #[inline]
-    fn get_varint(&mut self) -> Result<u64, ReadError> {
+    fn get_varint(&mut self) -> Result<u64, WireError> {
         let mut v = 0u64;
         let mut shift = 0;
         // Ten groups of seven bits cover 64; the tenth may carry only bit 63.
@@ -146,7 +227,7 @@ impl Buf for &[u8] {
             let byte = next_byte(self)?;
             let bits = u64::from(byte & 0x7F);
             if shift == 63 && bits > 1 {
-                return Err(ReadError::Malformed);
+                return Err(WireError::Malformed);
             }
             v |= bits << shift;
             if byte & 0x80 == 0 {
@@ -154,18 +235,18 @@ impl Buf for &[u8] {
             }
             shift += 7;
         }
-        Err(ReadError::Malformed)
+        Err(WireError::Malformed)
     }
 
     #[inline]
-    fn get_sparse_u32(&mut self) -> Result<u32, ReadError> {
+    fn get_sparse_u32(&mut self) -> Result<u32, WireError> {
         let mask = next_byte(self)?;
         if mask > 0x0F {
-            return Err(ReadError::Malformed);
+            return Err(WireError::Malformed);
         }
         let present = self
             .try_take(mask.count_ones() as usize)
-            .ok_or(ReadError::Truncated)?;
+            .ok_or(WireError::Truncated)?;
         // Scatter the packed bytes back to the positions the mask names.
         let mut v = 0u32;
         let mut bytes = present.iter();
@@ -193,6 +274,9 @@ pub trait BufMut {
     fn put_u64_le(&mut self, v: u64);
     /// Appends a byte slice verbatim.
     fn put_slice(&mut self, src: &[u8]);
+    /// Appends the frame header every codec's datagram starts with: the
+    /// codec's magic byte, its version and the message type byte.
+    fn put_header(&mut self, magic: u8, version: u8, ty: u8);
     /// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
     /// group first, the high bit set on every byte but the last (1 byte
     /// below 128, at most 10).
@@ -225,6 +309,10 @@ impl BufMut for Vec<u8> {
         self.extend_from_slice(src);
     }
 
+    fn put_header(&mut self, magic: u8, version: u8, ty: u8) {
+        self.extend_from_slice(&[magic, version, ty]);
+    }
+
     #[inline]
     fn put_varint(&mut self, mut v: u64) {
         while v >= 0x80 {
@@ -252,68 +340,6 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// An immutable, cheaply clonable byte string (shared via `Arc`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-}
-
-impl Bytes {
-    /// An empty byte string.
-    pub fn new() -> Self {
-        Bytes::default()
-    }
-
-    /// Copies a slice into a new shared byte string.
-    pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(src),
-        }
-    }
-
-    /// Wraps a static slice (copied once; the name mirrors the familiar
-    /// constructor so call sites read the same).
-    pub fn from_static(src: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(src)
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        Bytes { data: Arc::from(v) }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Bytes::copy_from_slice(v)
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,8 +360,7 @@ mod tests {
         assert_eq!(r.get_u16_le(), 0x0102);
         assert_eq!(r.get_u32_le(), 0x0304_0506);
         assert_eq!(r.get_u64_le(), 0x0708_090A_0B0C_0D0E);
-        assert_eq!(r, b"xy");
-        r.advance(2);
+        assert_eq!(r.try_take(2), Some(&b"xy"[..]));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -347,10 +372,6 @@ mod tests {
         assert_eq!(r.get_u8(), 0);
         assert_eq!(r.get_u16_le(), 0);
         assert_eq!(r.get_u64_le(), 0);
-
-        let mut r: &[u8] = &[1, 2, 3];
-        r.advance(usize::MAX);
-        assert_eq!(r.remaining(), 0, "oversized advance drains, not panics");
     }
 
     #[test]
@@ -361,6 +382,27 @@ mod tests {
         assert_eq!(r.remaining(), 2, "failed take consumes nothing");
         assert_eq!(r.try_take(2), Some(&[3u8, 4][..]));
         assert_eq!(r.try_take(0), Some(&[][..]));
+    }
+
+    #[test]
+    fn fields_read_their_little_endian_length_and_check_the_cap() {
+        let mut r: &[u8] = &[2, b'a', b'b', 3, 0, b'c', b'd', b'e', 1, 0, 0, 0, b'f'];
+        assert_eq!(r.get_field(1, 2), Ok(&b"ab"[..]));
+        assert_eq!(r.get_field(2, 3), Ok(&b"cde"[..]));
+        assert_eq!(r.get_field(4, 1), Ok(&b"f"[..]));
+        // The cap is checked before the bytes are looked for.
+        let mut r: &[u8] = &[0xFF, 0xFF];
+        assert_eq!(r.get_field(2, 1024), Err(WireError::TooLarge));
+        let mut r: &[u8] = &[3, b'a'];
+        assert_eq!(r.get_field(1, 8), Err(WireError::Truncated));
+        let mut r: &[u8] = &[3];
+        assert_eq!(r.get_field(2, 8), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn errors_display() {
+        assert!(WireError::BadVersion(3).to_string().contains('3'));
+        assert!(WireError::Truncated.to_string().contains("truncated"));
     }
 
     #[test]
@@ -387,19 +429,19 @@ mod tests {
     #[test]
     fn varint_rejects_truncation_overlength_and_overflow() {
         let mut r: &[u8] = &[0x80, 0x80];
-        assert_eq!(r.get_varint(), Err(ReadError::Truncated));
+        assert_eq!(r.get_varint(), Err(WireError::Truncated));
         let mut r: &[u8] = &[];
-        assert_eq!(r.get_varint(), Err(ReadError::Truncated));
+        assert_eq!(r.get_varint(), Err(WireError::Truncated));
         // Eleven bytes: ten continuation bytes and a terminator.
         let mut eleven = vec![0x80u8; 10];
         eleven.push(0x00);
         let mut r: &[u8] = &eleven;
-        assert_eq!(r.get_varint(), Err(ReadError::Malformed));
+        assert_eq!(r.get_varint(), Err(WireError::Malformed));
         // Ten bytes whose last group sets bits past 63.
         let mut past = vec![0xFFu8; 9];
         past.push(0x02);
         let mut r: &[u8] = &past;
-        assert_eq!(r.get_varint(), Err(ReadError::Malformed));
+        assert_eq!(r.get_varint(), Err(WireError::Malformed));
     }
 
     #[test]
@@ -425,20 +467,10 @@ mod tests {
     #[test]
     fn sparse_word_rejects_bad_masks_and_truncation() {
         let mut r: &[u8] = &[0x10];
-        assert_eq!(r.get_sparse_u32(), Err(ReadError::Malformed));
+        assert_eq!(r.get_sparse_u32(), Err(WireError::Malformed));
         let mut r: &[u8] = &[0x03, 0xAA];
-        assert_eq!(r.get_sparse_u32(), Err(ReadError::Truncated));
+        assert_eq!(r.get_sparse_u32(), Err(WireError::Truncated));
         let mut r: &[u8] = &[];
-        assert_eq!(r.get_sparse_u32(), Err(ReadError::Truncated));
-    }
-
-    #[test]
-    fn bytes_clone_shares_storage() {
-        let a = Bytes::from(vec![1u8, 2, 3]);
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert_eq!(&*a, &[1, 2, 3]);
-        assert_eq!(Bytes::from_static(b"abc").len(), 3);
-        assert!(Bytes::new().is_empty());
+        assert_eq!(r.get_sparse_u32(), Err(WireError::Truncated));
     }
 }

@@ -46,7 +46,6 @@ pub enum JitterDistribution {
 ///     .jitter(SimDuration::from_millis(3))
 ///     .loss(0.01)
 ///     .loss_correlation(0.25);
-/// assert_eq!(cfg.base_delay(), SimDuration::from_millis(70));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetemConfig {
@@ -158,11 +157,6 @@ impl NetemConfig {
     pub fn tx_slice(mut self, slice: SimDuration) -> Self {
         self.tx_slice = slice;
         self
-    }
-
-    /// The configured base one-way delay.
-    pub fn base_delay(&self) -> SimDuration {
-        self.delay
     }
 }
 
@@ -343,7 +337,7 @@ mod tests {
     #[test]
     fn with_rtt_splits_delay() {
         let cfg = NetemConfig::with_rtt(ms(140));
-        assert_eq!(cfg.base_delay(), ms(70));
+        assert_eq!(cfg.delay, ms(70));
     }
 
     #[test]

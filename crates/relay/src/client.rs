@@ -16,7 +16,7 @@
 
 use coplay_net::{PeerId, Transport, TransportError};
 
-use crate::wire::{self, RelayMessage, RelayWireError};
+use crate::wire::RelayMessage;
 
 /// While unregistered, `try_recv` retransmits `Register` once per this many
 /// polls (including the very first). A client may have nothing to send for
@@ -128,7 +128,7 @@ impl<T: Transport> RelaySocket<T> {
         self.inner.send(self.relay, &self.buf)
     }
 
-    fn register_message(&self) -> RelayMessage {
+    fn register_message(&self) -> RelayMessage<'static> {
         RelayMessage::Register {
             session: self.session,
             site: self.inner.local_id().0,
@@ -142,7 +142,7 @@ impl<T: Transport> RelaySocket<T> {
     }
 
     /// Handles a relay control message surfaced by `try_recv`.
-    fn on_control(&mut self, msg: RelayMessage) -> Result<(), TransportError> {
+    fn on_control(&mut self, msg: RelayMessage<'_>) -> Result<(), TransportError> {
         match msg {
             RelayMessage::Registered { session, .. } if session == self.session => {
                 self.registered = true;
@@ -175,7 +175,11 @@ impl<T: Transport> Transport for RelaySocket<T> {
         if !self.registered {
             self.send_register()?;
         }
-        wire::encode_forward_into(&mut self.buf, to.0, payload);
+        RelayMessage::Forward {
+            dest: to.0,
+            payload,
+        }
+        .encode_into(&mut self.buf);
         self.inner.send(self.relay, &self.buf)
     }
 
@@ -198,15 +202,12 @@ impl<T: Transport> Transport for RelaySocket<T> {
                 self.discarded += 1;
                 continue;
             }
-            match wire::decode_deliver(&data) {
-                Ok((from_site, payload)) => {
+            match RelayMessage::decode(&data) {
+                Ok(RelayMessage::Deliver { from_site, payload }) => {
                     self.delivered += 1;
                     return Ok(Some((PeerId(from_site), payload.to_vec())));
                 }
-                Err(RelayWireError::UnknownType(_)) => match RelayMessage::decode(&data) {
-                    Ok(msg) => self.on_control(msg)?,
-                    Err(_) => self.discarded += 1,
-                },
+                Ok(msg) => self.on_control(msg)?,
                 Err(_) => self.discarded += 1,
             }
         }
@@ -263,9 +264,13 @@ mod tests {
             })
         ));
         let (_, fwd) = relay_end.try_recv().unwrap().unwrap();
-        let (dest, payload) = wire::decode_forward(&fwd).unwrap();
-        assert_eq!(dest, wire::DEST_BROADCAST);
-        assert_eq!(payload, b"input");
+        assert_eq!(
+            RelayMessage::decode(&fwd),
+            Ok(RelayMessage::Forward {
+                dest: crate::DEST_BROADCAST,
+                payload: b"input",
+            })
+        );
 
         // The ack flips the socket to registered; later sends skip Register.
         relay_end
@@ -289,7 +294,10 @@ mod tests {
         ));
         sock.send(PeerId(1), b"more").unwrap();
         let (_, only) = relay_end.try_recv().unwrap().unwrap();
-        assert!(wire::decode_forward(&only).is_ok());
+        assert!(matches!(
+            RelayMessage::decode(&only),
+            Ok(RelayMessage::Forward { .. })
+        ));
         assert!(relay_end.try_recv().unwrap().is_none());
     }
 
@@ -312,7 +320,7 @@ mod tests {
                 PeerId(1),
                 &RelayMessage::Deliver {
                     from_site: 0,
-                    payload: coplay_net::bytes::Bytes::copy_from_slice(b"frame"),
+                    payload: b"frame",
                 }
                 .encode(),
             )

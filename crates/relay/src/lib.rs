@@ -11,7 +11,8 @@
 //! about routing, policy, and observability:
 //!
 //! - [`wire`] — the relay datagram protocol (magic `0xC7`): register /
-//!   forward / deliver envelopes with zero-copy hot-path codecs.
+//!   forward / deliver envelopes that borrow their payload, so forwarding
+//!   copies nothing through the codec.
 //! - [`RelayCore`] — the sans-io routing core: compact slab session table,
 //!   per-session token-bucket backpressure with drop accounting, spectator
 //!   fan-out, and heartbeat eviction on the lobby's TTL cadence.
@@ -31,4 +32,4 @@ pub mod wire;
 pub use client::RelaySocket;
 pub use server::{RelayConfig, RelayCore, RelayStats, MEMBER_TTL};
 pub use udp::UdpRelay;
-pub use wire::{RelayMessage, RelayWireError, DEST_BROADCAST, MAX_RELAY_PAYLOAD};
+pub use wire::{RelayMessage, DEST_BROADCAST, MAX_RELAY_PAYLOAD};

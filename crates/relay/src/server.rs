@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use coplay_clock::{SimDuration, SimTime};
 use coplay_telemetry::{EventKind, Telemetry};
 
-use crate::wire::{self, RelayMessage, RelayWireError, DEST_BROADCAST};
+use crate::wire::{RelayMessage, DEST_BROADCAST, MAX_RELAY_PAYLOAD};
 
 /// How long a member may stay silent before the sweep evicts it.
 ///
@@ -236,12 +236,11 @@ impl<A: Copy + Ord> RelayCore<A> {
     /// in response (valid until the next `handle`/`sweep` call).
     pub fn handle(&mut self, from: A, data: &[u8], now: SimTime) -> &[(A, Vec<u8>)] {
         self.out_len = 0;
-        match wire::decode_forward(data) {
-            Ok((dest, payload)) => self.on_forward(from, dest, payload, now),
-            Err(RelayWireError::UnknownType(_)) => match RelayMessage::decode(data) {
-                Ok(msg) => self.on_control(from, msg, now),
-                Err(_) => self.stats.dropped_malformed += 1,
-            },
+        match RelayMessage::decode(data) {
+            Ok(RelayMessage::Forward { dest, payload }) => {
+                self.on_forward(from, dest, payload, now);
+            }
+            Ok(msg) => self.on_control(from, msg, now),
             Err(_) => self.stats.dropped_malformed += 1,
         }
         self.replies()
@@ -320,6 +319,12 @@ impl<A: Copy + Ord> RelayCore<A> {
             return;
         }
         self.stats.forwarded += 1;
+        // The decoder caps every forward, so fan-out never clamps a payload.
+        assert!(
+            payload.len() <= MAX_RELAY_PAYLOAD,
+            "deliver payload over cap"
+        );
+        let deliver = RelayMessage::Deliver { from_site, payload };
         let mut copies = 0u64;
         for mi in 0..self.slots[si].members.len() {
             let m = self.slots[si].members[mi];
@@ -332,14 +337,14 @@ impl<A: Copy + Ord> RelayCore<A> {
                 continue;
             }
             let buf = out_slot(&mut self.out, &mut self.out_len, m.addr);
-            wire::encode_deliver_into(buf, from_site, payload);
+            deliver.encode_into(buf);
             copies += 1;
         }
         self.stats.fanout_copies += copies;
         self.telemetry.observe("relay_fanout", copies);
     }
 
-    fn on_control(&mut self, from: A, msg: RelayMessage, now: SimTime) {
+    fn on_control(&mut self, from: A, msg: RelayMessage<'_>, now: SimTime) {
         match msg {
             RelayMessage::Register {
                 session,
@@ -371,7 +376,8 @@ impl<A: Copy + Ord> RelayCore<A> {
                 }
                 self.remove_member(si, from);
             }
-            // Server-to-client messages arriving at the server are noise.
+            // Server-to-client messages arriving at the server are noise
+            // (`handle` routes every `Forward` to `on_forward`).
             RelayMessage::Registered { .. }
             | RelayMessage::Deliver { .. }
             | RelayMessage::Evicted { .. }
@@ -545,7 +551,6 @@ fn out_slot<'a, A: Copy>(
 mod tests {
     use super::*;
     use crate::wire::{RelayMessage, DEST_BROADCAST};
-    use coplay_net::bytes::Bytes;
     use coplay_net::PeerId;
 
     fn at(ms: u64) -> SimTime {
@@ -563,7 +568,7 @@ mod tests {
         site: u8,
         spectator: bool,
         now: SimTime,
-    ) -> Vec<RelayMessage> {
+    ) -> Vec<RelayMessage<'_>> {
         let data = RelayMessage::Register {
             session,
             site,
@@ -576,18 +581,14 @@ mod tests {
             .collect()
     }
 
-    fn forward(
-        c: &mut RelayCore<PeerId>,
+    fn forward<'c>(
+        c: &'c mut RelayCore<PeerId>,
         from: PeerId,
         dest: u8,
         payload: &[u8],
         now: SimTime,
-    ) -> Vec<(PeerId, RelayMessage)> {
-        let data = RelayMessage::Forward {
-            dest,
-            payload: Bytes::copy_from_slice(payload),
-        }
-        .encode();
+    ) -> Vec<(PeerId, RelayMessage<'c>)> {
+        let data = RelayMessage::Forward { dest, payload }.encode();
         c.handle(from, &data, now)
             .iter()
             .map(|(to, bytes)| (*to, RelayMessage::decode(bytes).unwrap()))
@@ -631,7 +632,7 @@ mod tests {
             out[0].1,
             RelayMessage::Deliver {
                 from_site: 0,
-                payload: Bytes::copy_from_slice(b"hello"),
+                payload: b"hello",
             }
         );
         // Unicast to a specific site skips everyone else.

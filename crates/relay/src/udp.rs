@@ -161,7 +161,6 @@ mod tests {
     use super::*;
     use crate::wire::{self, RelayMessage};
     use coplay_clock::{Clock, SystemClock};
-    use coplay_net::bytes::Bytes;
 
     fn client() -> UdpSocket {
         let s = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -229,7 +228,7 @@ mod tests {
         a.send_to(
             &RelayMessage::Forward {
                 dest: wire::DEST_BROADCAST,
-                payload: Bytes::copy_from_slice(b"input frame"),
+                payload: b"input frame",
             }
             .encode(),
             addr,
@@ -242,9 +241,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let delivered = recv(&b);
-        let (from_site, payload) = wire::decode_deliver(&delivered).unwrap();
-        assert_eq!(from_site, 0);
-        assert_eq!(payload, b"input frame");
+        assert_eq!(
+            RelayMessage::decode(&delivered),
+            Ok(RelayMessage::Deliver {
+                from_site: 0,
+                payload: b"input frame",
+            })
+        );
     }
 
     #[test]

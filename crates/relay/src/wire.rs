@@ -9,11 +9,12 @@
 //! receiving client can restore ordinary per-peer addressing. All messages
 //! fit one datagram; registration is idempotent and clients retransmit it
 //! until acknowledged.
+//!
+//! The envelopes borrow their payload from the datagram they were decoded
+//! from, so the relay's fan-out and the client's unwrap copy nothing on
+//! the way through the codec.
 
-use std::error::Error;
-use std::fmt;
-
-use coplay_net::bytes::{Buf, BufMut, Bytes};
+use coplay_net::bytes::{Buf, BufMut, WireError};
 
 const MAGIC: u8 = 0xC7;
 const VERSION: u8 = 1;
@@ -30,9 +31,10 @@ pub const DEST_BROADCAST: u8 = 254;
 /// Register flag bit: the member is a read-only spectator.
 const FLAG_SPECTATOR: u8 = 1;
 
-/// Relay protocol messages.
+/// Relay protocol messages. `Forward` and `Deliver` borrow their opaque
+/// payload (`'a` is the datagram's lifetime).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RelayMessage {
+pub enum RelayMessage<'a> {
     /// Client → relay: join `session` as `site`. Retransmitted until
     /// [`Registered`](RelayMessage::Registered) arrives; idempotent.
     Register {
@@ -58,14 +60,14 @@ pub enum RelayMessage {
         /// Destination site, or [`DEST_BROADCAST`].
         dest: u8,
         /// The opaque game datagram (never decoded by the relay).
-        payload: Bytes,
+        payload: &'a [u8],
     },
     /// Relay → client: a payload forwarded by another member.
     Deliver {
         /// The sending member's site.
         from_site: u8,
         /// The opaque game datagram.
-        payload: Bytes,
+        payload: &'a [u8],
     },
     /// Client → relay: liveness for members with nothing to forward
     /// (spectators); any datagram refreshes the eviction timer.
@@ -86,35 +88,6 @@ pub enum RelayMessage {
     },
 }
 
-/// Errors decoding a relay datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RelayWireError {
-    /// Not a relay datagram.
-    BadMagic,
-    /// Unsupported version.
-    BadVersion(u8),
-    /// Unknown message type.
-    UnknownType(u8),
-    /// Datagram shorter than advertised.
-    Truncated,
-    /// A length field exceeds [`MAX_RELAY_PAYLOAD`].
-    TooLarge,
-}
-
-impl fmt::Display for RelayWireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RelayWireError::BadMagic => write!(f, "not a relay datagram"),
-            RelayWireError::BadVersion(v) => write!(f, "unsupported relay version {v}"),
-            RelayWireError::UnknownType(t) => write!(f, "unknown relay message type {t}"),
-            RelayWireError::Truncated => write!(f, "relay datagram truncated"),
-            RelayWireError::TooLarge => write!(f, "relay payload length exceeds cap"),
-        }
-    }
-}
-
-impl Error for RelayWireError {}
-
 mod ty {
     pub const REGISTER: u8 = 1;
     pub const REGISTERED: u8 = 2;
@@ -125,7 +98,7 @@ mod ty {
     pub const BYE: u8 = 7;
 }
 
-impl RelayMessage {
+impl<'a> RelayMessage<'a> {
     /// Encodes to one datagram payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
@@ -134,41 +107,43 @@ impl RelayMessage {
     }
 
     /// Encodes into a reusable buffer (cleared first), so steady-state
-    /// senders allocate nothing.
+    /// senders allocate nothing. A `Forward` or `Deliver` payload over [`MAX_RELAY_PAYLOAD`] is
+    /// clamped to the cap, so the length prefix and the bytes written never
+    /// disagree.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_header(out);
+        out.clear();
         match self {
             RelayMessage::Register {
                 session,
                 site,
                 spectator,
             } => {
-                out.put_u8(ty::REGISTER);
+                out.put_header(MAGIC, VERSION, ty::REGISTER);
                 out.put_u32_le(*session);
                 out.put_u8(*site);
                 out.put_u8(if *spectator { FLAG_SPECTATOR } else { 0 });
             }
             RelayMessage::Registered { session, site } => {
-                out.put_u8(ty::REGISTERED);
+                out.put_header(MAGIC, VERSION, ty::REGISTERED);
                 out.put_u32_le(*session);
                 out.put_u8(*site);
             }
             RelayMessage::Forward { dest, payload } => {
-                put_envelope(out, ty::FORWARD, *dest, clamp_payload(payload));
+                put_envelope(out, ty::FORWARD, *dest, payload);
             }
             RelayMessage::Deliver { from_site, payload } => {
-                put_envelope(out, ty::DELIVER, *from_site, clamp_payload(payload));
+                put_envelope(out, ty::DELIVER, *from_site, payload);
             }
             RelayMessage::Heartbeat { session } => {
-                out.put_u8(ty::HEARTBEAT);
+                out.put_header(MAGIC, VERSION, ty::HEARTBEAT);
                 out.put_u32_le(*session);
             }
             RelayMessage::Evicted { session } => {
-                out.put_u8(ty::EVICTED);
+                out.put_header(MAGIC, VERSION, ty::EVICTED);
                 out.put_u32_le(*session);
             }
             RelayMessage::Bye { session } => {
-                out.put_u8(ty::BYE);
+                out.put_header(MAGIC, VERSION, ty::BYE);
                 out.put_u32_le(*session);
             }
         }
@@ -178,20 +153,14 @@ impl RelayMessage {
     ///
     /// # Errors
     ///
-    /// Any [`RelayWireError`]; decoding arbitrary bytes never panics.
-    pub fn decode(data: &[u8]) -> Result<RelayMessage, RelayWireError> {
+    /// Any [`WireError`]; decoding arbitrary bytes never panics. The
+    /// payload length is checked against [`MAX_RELAY_PAYLOAD`] before the
+    /// payload is taken.
+    pub fn decode(data: &'a [u8]) -> Result<RelayMessage<'a>, WireError> {
         let mut b = data;
-        let t = decode_header(&mut b)?;
-        macro_rules! need {
-            ($n:expr) => {
-                if b.remaining() < $n {
-                    return Err(RelayWireError::Truncated);
-                }
-            };
-        }
-        Ok(match t {
+        Ok(match b.get_header(MAGIC, VERSION)? {
             ty::REGISTER => {
-                need!(6);
+                b.need(6)?;
                 RelayMessage::Register {
                     session: b.get_u32_le(),
                     site: b.get_u8(),
@@ -199,47 +168,57 @@ impl RelayMessage {
                 }
             }
             ty::REGISTERED => {
-                need!(5);
+                b.need(5)?;
                 RelayMessage::Registered {
                     session: b.get_u32_le(),
                     site: b.get_u8(),
                 }
             }
             ty::FORWARD => {
-                let (dest, payload) = get_envelope(&mut b)?;
+                b.need(1)?;
                 RelayMessage::Forward {
-                    dest,
-                    payload: Bytes::copy_from_slice(payload),
+                    dest: b.get_u8(),
+                    payload: b.get_field(2, MAX_RELAY_PAYLOAD)?,
                 }
             }
             ty::DELIVER => {
-                let (from_site, payload) = get_envelope(&mut b)?;
+                b.need(1)?;
                 RelayMessage::Deliver {
-                    from_site,
-                    payload: Bytes::copy_from_slice(payload),
+                    from_site: b.get_u8(),
+                    payload: b.get_field(2, MAX_RELAY_PAYLOAD)?,
                 }
             }
             ty::HEARTBEAT => {
-                need!(4);
+                b.need(4)?;
                 RelayMessage::Heartbeat {
                     session: b.get_u32_le(),
                 }
             }
             ty::EVICTED => {
-                need!(4);
+                b.need(4)?;
                 RelayMessage::Evicted {
                     session: b.get_u32_le(),
                 }
             }
             ty::BYE => {
-                need!(4);
+                b.need(4)?;
                 RelayMessage::Bye {
                     session: b.get_u32_le(),
                 }
             }
-            other => return Err(RelayWireError::UnknownType(other)),
+            other => return Err(WireError::UnknownType(other)),
         })
     }
+}
+
+/// Writes the header and the `(site byte, u16 length, payload)` body
+/// shared by `Forward` and `Deliver`, clamping an over-cap payload.
+fn put_envelope(out: &mut Vec<u8>, t: u8, site: u8, payload: &[u8]) {
+    let payload = clamp_payload(payload);
+    out.put_header(MAGIC, VERSION, t);
+    out.put_u8(site);
+    out.put_u16_le(payload.len() as u16);
+    out.put_slice(payload);
 }
 
 /// Truncates an over-cap payload so the length prefix and the written
@@ -248,114 +227,11 @@ fn clamp_payload(p: &[u8]) -> &[u8] {
     p.get(..MAX_RELAY_PAYLOAD).unwrap_or(p)
 }
 
-/// Clears `out` and writes the magic and version bytes.
-fn put_header(out: &mut Vec<u8>) {
-    out.clear();
-    out.put_u8(MAGIC);
-    out.put_u8(VERSION);
-}
-
-/// Writes the type byte and the `(site byte, u16 length, payload)`
-/// envelope tail shared by `Forward` and `Deliver`, after the header.
-/// `payload` must already be within [`MAX_RELAY_PAYLOAD`].
-fn put_envelope(out: &mut Vec<u8>, t: u8, site: u8, payload: &[u8]) {
-    out.put_u8(t);
-    out.put_u8(site);
-    out.put_u16_le(payload.len() as u16);
-    out.put_slice(payload);
-}
-
-/// Checks magic and version, returning the message-type byte.
-fn decode_header(b: &mut &[u8]) -> Result<u8, RelayWireError> {
-    if b.remaining() < 3 {
-        return Err(RelayWireError::Truncated);
-    }
-    if b.get_u8() != MAGIC {
-        return Err(RelayWireError::BadMagic);
-    }
-    let v = b.get_u8();
-    if v != VERSION {
-        return Err(RelayWireError::BadVersion(v));
-    }
-    Ok(b.get_u8())
-}
-
-/// Reads the shared `(site byte, u16 length, payload)` envelope tail of
-/// `Forward`/`Deliver`. The length cap is checked before any allocation.
-/// The payload is taken by copying the shared slice out of the cursor
-/// first ([`Buf::try_take`] would tie it to the `&mut` borrow instead of
-/// the datagram's `'a`) — both hot paths hand the slice outward zero-copy.
-fn get_envelope<'a>(b: &mut &'a [u8]) -> Result<(u8, &'a [u8]), RelayWireError> {
-    if b.remaining() < 3 {
-        return Err(RelayWireError::Truncated);
-    }
-    let site = b.get_u8();
-    let n = b.get_u16_le() as usize;
-    if n > MAX_RELAY_PAYLOAD {
-        return Err(RelayWireError::TooLarge);
-    }
-    let data: &'a [u8] = b;
-    let Some(payload) = data.get(..n) else {
-        return Err(RelayWireError::Truncated);
-    };
-    b.advance(n);
-    Ok((site, payload))
-}
-
-/// Zero-copy parse of a [`Forward`](RelayMessage::Forward) datagram — the
-/// relay's per-datagram hot path. Returns `(dest, payload)` borrowing from
-/// `data`; any other (valid) message type comes back as
-/// [`UnknownType`](RelayWireError::UnknownType) so callers fall through to
-/// the full [`RelayMessage::decode`].
-pub fn decode_forward(data: &[u8]) -> Result<(u8, &[u8]), RelayWireError> {
-    let mut b = data;
-    let t = decode_header(&mut b)?;
-    if t != ty::FORWARD {
-        return Err(RelayWireError::UnknownType(t));
-    }
-    get_envelope(&mut b)
-}
-
-/// Zero-copy encode of a [`Forward`](RelayMessage::Forward) datagram into a
-/// reusable buffer (cleared first) — the client's send-side hot path.
-/// Over-cap payloads are clamped exactly like the enum encoder's.
-pub fn encode_forward_into(out: &mut Vec<u8>, dest: u8, payload: &[u8]) {
-    put_header(out);
-    put_envelope(out, ty::FORWARD, dest, clamp_payload(payload));
-}
-
-/// Zero-copy parse of a [`Deliver`](RelayMessage::Deliver) datagram — the
-/// client's per-datagram hot path, mirroring [`decode_forward`]. Returns
-/// `(from_site, payload)` borrowing from `data`; any other (valid) message
-/// type comes back as [`UnknownType`](RelayWireError::UnknownType) so
-/// callers fall through to the full [`RelayMessage::decode`].
-pub fn decode_deliver(data: &[u8]) -> Result<(u8, &[u8]), RelayWireError> {
-    let mut b = data;
-    let t = decode_header(&mut b)?;
-    if t != ty::DELIVER {
-        return Err(RelayWireError::UnknownType(t));
-    }
-    get_envelope(&mut b)
-}
-
-/// Zero-copy encode of a [`Deliver`](RelayMessage::Deliver) datagram into a
-/// reusable buffer (cleared first) — the fan-out side of the hot path.
-/// `payload` must not exceed [`MAX_RELAY_PAYLOAD`] (forwards are capped on
-/// ingress, so relayed payloads always satisfy this).
-pub fn encode_deliver_into(out: &mut Vec<u8>, from_site: u8, payload: &[u8]) {
-    assert!(
-        payload.len() <= MAX_RELAY_PAYLOAD,
-        "deliver payload over cap"
-    );
-    put_header(out);
-    put_envelope(out, ty::DELIVER, from_site, payload);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn every_message() -> Vec<RelayMessage> {
+    fn every_message() -> Vec<RelayMessage<'static>> {
         vec![
             RelayMessage::Register {
                 session: 7,
@@ -373,11 +249,11 @@ mod tests {
             },
             RelayMessage::Forward {
                 dest: DEST_BROADCAST,
-                payload: Bytes::copy_from_slice(b"opaque sync bytes"),
+                payload: b"opaque sync bytes",
             },
             RelayMessage::Deliver {
                 from_site: 0,
-                payload: Bytes::copy_from_slice(&[0xC5, 1, 2, 3]),
+                payload: &[0xC5, 1, 2, 3],
             },
             RelayMessage::Heartbeat { session: 7 },
             RelayMessage::Evicted { session: 7 },
@@ -395,23 +271,6 @@ mod tests {
             msg.encode_into(&mut buf);
             assert_eq!(buf, bytes, "{msg:?}");
         }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(RelayMessage::decode(&[]), Err(RelayWireError::Truncated));
-        assert_eq!(
-            RelayMessage::decode(&[0x00, VERSION, 1]),
-            Err(RelayWireError::BadMagic)
-        );
-        assert_eq!(
-            RelayMessage::decode(&[MAGIC, 99, 1]),
-            Err(RelayWireError::BadVersion(99))
-        );
-        assert_eq!(
-            RelayMessage::decode(&[MAGIC, VERSION, 200]),
-            Err(RelayWireError::UnknownType(200))
-        );
     }
 
     #[test]
@@ -435,43 +294,7 @@ mod tests {
         // though the datagram itself is tiny.
         let mut bytes = vec![MAGIC, VERSION, 3, 0];
         bytes.put_u16_le((MAX_RELAY_PAYLOAD + 1) as u16);
-        assert_eq!(RelayMessage::decode(&bytes), Err(RelayWireError::TooLarge));
-        assert_eq!(decode_forward(&bytes), Err(RelayWireError::TooLarge));
-    }
-
-    #[test]
-    fn forward_fast_path_matches_full_decode() {
-        let msg = RelayMessage::Forward {
-            dest: 1,
-            payload: Bytes::copy_from_slice(b"payload"),
-        };
-        let bytes = msg.encode();
-        let (dest, payload) = decode_forward(&bytes).unwrap();
-        assert_eq!(dest, 1);
-        assert_eq!(payload, b"payload");
-        // Non-forward datagrams fall through as UnknownType.
-        let hb = RelayMessage::Heartbeat { session: 1 }.encode();
-        assert_eq!(
-            decode_forward(&hb),
-            Err(RelayWireError::UnknownType(ty::HEARTBEAT))
-        );
-    }
-
-    #[test]
-    fn deliver_fast_path_matches_full_decode() {
-        let msg = RelayMessage::Deliver {
-            from_site: 2,
-            payload: Bytes::copy_from_slice(b"payload"),
-        };
-        let bytes = msg.encode();
-        let (from_site, payload) = decode_deliver(&bytes).unwrap();
-        assert_eq!(from_site, 2);
-        assert_eq!(payload, b"payload");
-        let hb = RelayMessage::Heartbeat { session: 1 }.encode();
-        assert_eq!(
-            decode_deliver(&hb),
-            Err(RelayWireError::UnknownType(ty::HEARTBEAT))
-        );
+        assert_eq!(RelayMessage::decode(&bytes), Err(WireError::TooLarge));
     }
 
     #[test]
@@ -480,7 +303,7 @@ mod tests {
         // prefix; senders never produce an undecodable datagram.
         let msg = RelayMessage::Forward {
             dest: 0,
-            payload: Bytes::from(vec![0u8; MAX_RELAY_PAYLOAD + 100]),
+            payload: &[0u8; MAX_RELAY_PAYLOAD + 100],
         };
         match RelayMessage::decode(&msg.encode()) {
             Ok(RelayMessage::Forward { payload, .. }) => {

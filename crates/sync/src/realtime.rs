@@ -78,30 +78,12 @@ where
                 frames += 1;
                 if frames >= max_frames {
                     linger(&mut session, &clock);
-                    flush_telemetry(&session);
                     return Ok((RunOutcome::FrameLimit, session));
                 }
             }
             Step::Wait(until) => wait_until(&clock, until),
-            Step::Stopped(reason) => {
-                // The early-stop path skips the linger but must not skip
-                // the flush: a peer-quit or local-quit session still owns
-                // buffered telemetry/trace records worth keeping.
-                flush_telemetry(&session);
-                return Ok((RunOutcome::Stopped(reason), session));
-            }
+            Step::Stopped(reason) => return Ok((RunOutcome::Stopped(reason), session)),
         }
-    }
-}
-
-/// Persists any buffered telemetry/trace records (no-op unless the
-/// session's [`Telemetry`](coplay_telemetry::Telemetry) handle has a trace
-/// path set). Every exit of [`run_realtime`] calls this — the frame-limit
-/// path after its linger *and* the immediate stop path — so a finished
-/// session never drops its trace on the floor.
-fn flush_telemetry<D: SessionDriver>(session: &D) {
-    if let Err(e) = session.config().telemetry.flush() {
-        eprintln!("warning: session trace flush failed: {e}");
     }
 }
 

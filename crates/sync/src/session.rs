@@ -59,6 +59,12 @@ pub const JOIN_MARGIN_FRAMES: u64 = 64;
 /// Hello/SnapshotRequest retransmission interval during joins.
 const JOIN_RETRY: SimDuration = SimDuration::from_millis(200);
 
+/// Largest snapshot a latecomer assembles. A chunk announcing a larger
+/// `total` is dropped before anything is allocated: `total` comes off the
+/// wire from any sender, and could otherwise reserve up to 4 GiB. Well
+/// above the largest state a bundled machine saves (the console's 85 248 B).
+const MAX_SNAPSHOT_BYTES: usize = 1 << 20;
+
 /// One site of a distributed game session, whatever its consistency mode.
 ///
 /// Implementations are sans-io in time: [`SessionDriver::tick`] takes `now`
@@ -826,11 +832,13 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                         frame,
                         offset: (i * MAX_CHUNK_BYTES) as u32,
                         total: total as u32,
-                        bytes: coplay_net::bytes::Bytes::copy_from_slice(chunk),
+                        // detlint: allow(hot_alloc) -- join path; one copy per chunk served
+                        bytes: chunk.to_vec(),
                     };
                     self.transport.send(from, &m.encode())?;
                 }
             }
+            Message::SnapshotChunk { total, .. } if total as usize > MAX_SNAPSHOT_BYTES => {}
             Message::SnapshotChunk {
                 frame,
                 offset,
@@ -1629,6 +1637,46 @@ mod tests {
             replay.step_frame(a.sync().merged_input(f));
         }
         assert_eq!(state, replay.save_state(), "served state is authoritative");
+    }
+
+    /// A chunk announcing a snapshot larger than `MAX_SNAPSHOT_BYTES`
+    /// is dropped before the latecomer sizes anything to it, and the real
+    /// snapshot still completes the join.
+    #[test]
+    fn latecomer_ignores_an_oversized_snapshot_chunk() {
+        let (mut ta, tb) = loopback(PeerId(0), PeerId(1));
+        let mut b = LockstepSession::new(SyncConfig::two_player(1), NullMachine::new(), tb, Idle);
+        let _ = b.tick(SimTime::ZERO).unwrap(); // greets site 0
+        let ack = Message::HelloAck {
+            rom_hash: NullMachine::new().state_hash(),
+            start_frame: 5,
+        };
+        ta.send(PeerId(1), &ack.encode()).unwrap();
+        let _ = b.tick(SimTime::from_millis(1)).unwrap(); // requests the snapshot
+        let chunk = |total, bytes: Vec<u8>| Message::SnapshotChunk {
+            frame: 5,
+            offset: 0,
+            total,
+            bytes,
+        };
+        ta.send(PeerId(1), &chunk(u32::MAX, vec![0xAA; 16]).encode())
+            .unwrap();
+        let _ = b.tick(SimTime::from_millis(2)).unwrap();
+        let Phase::AwaitSnapshot { total, buf, .. } = &b.phase else {
+            panic!("the forged chunk completed a join");
+        };
+        assert_eq!((*total, buf.capacity()), (0, 0), "nothing sized to it");
+
+        let mut host = NullMachine::new();
+        for _ in 0..5 {
+            host.step_frame(InputWord::NONE);
+        }
+        let state = host.save_state();
+        ta.send(PeerId(1), &chunk(state.len() as u32, state).encode())
+            .unwrap();
+        let _ = b.tick(SimTime::from_millis(3)).unwrap();
+        assert_eq!(b.frame(), 5);
+        assert_eq!(b.machine().state_hash(), host.state_hash());
     }
 
     /// The frame whose begin changes site 0's scripted input: odd, so its

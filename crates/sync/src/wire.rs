@@ -30,10 +30,8 @@
 //! obscure it. A build speaking another version cannot join: its
 //! datagrams decode as [`WireError::BadVersion`] and are dropped.
 
-use std::error::Error;
-use std::fmt;
-
-use coplay_net::bytes::{Buf, BufMut, Bytes, ReadError};
+pub use coplay_net::bytes::WireError;
+use coplay_net::bytes::{Buf, BufMut};
 use coplay_vm::InputWord;
 
 /// Protocol magic (1 byte) and version (1 byte).
@@ -119,7 +117,7 @@ pub enum Message {
         /// Total snapshot size in bytes.
         total: u32,
         /// The chunk payload.
-        bytes: Bytes,
+        bytes: Vec<u8>,
     },
     /// Orderly goodbye (peer quit; the paper's system would freeze instead).
     Bye,
@@ -131,48 +129,6 @@ pub enum Message {
         frame: u64,
     },
 }
-
-/// Errors decoding a datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Datagram shorter than its advertised contents.
-    Truncated,
-    /// Wrong magic byte (not a coplay datagram).
-    BadMagic,
-    /// Protocol version mismatch.
-    BadVersion(u8),
-    /// Unknown message type byte.
-    UnknownType(u8),
-    /// A length field exceeds its hard cap.
-    TooLarge,
-    /// A field is not a value of its encoding (an overlong varint, a bad
-    /// presence mask, a zero-length run).
-    Malformed,
-}
-
-impl From<ReadError> for WireError {
-    fn from(e: ReadError) -> Self {
-        match e {
-            ReadError::Truncated => WireError::Truncated,
-            ReadError::Malformed => WireError::Malformed,
-        }
-    }
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "datagram truncated"),
-            WireError::BadMagic => write!(f, "bad magic byte"),
-            WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
-            WireError::UnknownType(t) => write!(f, "unknown message type {t}"),
-            WireError::TooLarge => write!(f, "length field exceeds protocol cap"),
-            WireError::Malformed => write!(f, "malformed field"),
-        }
-    }
-}
-
-impl Error for WireError {}
 
 mod ty {
     pub const INPUT: u8 = 1;
@@ -212,11 +168,9 @@ impl Message {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         let b = out;
-        b.put_u8(MAGIC);
-        b.put_u8(VERSION);
         match self {
             Message::Input(m) => {
-                b.put_u8(ty::INPUT);
+                b.put_header(MAGIC, VERSION, ty::INPUT);
                 b.put_u8(m.from);
                 b.put_varint(m.first);
                 b.put_varint(zigzag(m.ack.wrapping_sub(m.first)));
@@ -227,7 +181,7 @@ impl Message {
                 }
             }
             Message::Hello { site, rom_hash } => {
-                b.put_u8(ty::HELLO);
+                b.put_header(MAGIC, VERSION, ty::HELLO);
                 b.put_u8(*site);
                 b.put_u64_le(*rom_hash);
             }
@@ -235,35 +189,35 @@ impl Message {
                 rom_hash,
                 start_frame,
             } => {
-                b.put_u8(ty::HELLO_ACK);
+                b.put_header(MAGIC, VERSION, ty::HELLO_ACK);
                 b.put_u64_le(*rom_hash);
                 b.put_u64_le(*start_frame);
             }
             Message::Ping { nonce } => {
-                b.put_u8(ty::PING);
+                b.put_header(MAGIC, VERSION, ty::PING);
                 b.put_u32_le(*nonce);
             }
             Message::Pong { nonce } => {
-                b.put_u8(ty::PONG);
+                b.put_header(MAGIC, VERSION, ty::PONG);
                 b.put_u32_le(*nonce);
             }
-            Message::SnapshotRequest => b.put_u8(ty::SNAPSHOT_REQUEST),
+            Message::SnapshotRequest => b.put_header(MAGIC, VERSION, ty::SNAPSHOT_REQUEST),
             Message::SnapshotChunk {
                 frame,
                 offset,
                 total,
                 bytes,
             } => {
-                b.put_u8(ty::SNAPSHOT_CHUNK);
+                b.put_header(MAGIC, VERSION, ty::SNAPSHOT_CHUNK);
                 b.put_u64_le(*frame);
                 b.put_u32_le(*offset);
                 b.put_u32_le(*total);
                 b.put_u16_le(bytes.len() as u16);
                 b.put_slice(bytes);
             }
-            Message::Bye => b.put_u8(ty::BYE),
+            Message::Bye => b.put_header(MAGIC, VERSION, ty::BYE),
             Message::TimeStamp { site, frame } => {
-                b.put_u8(ty::TIME_STAMP);
+                b.put_header(MAGIC, VERSION, ty::TIME_STAMP);
                 b.put_u8(*site);
                 b.put_u64_le(*frame);
             }
@@ -278,27 +232,9 @@ impl Message {
     /// a UDP port receives arbitrary bytes, so decoding must never panic.
     pub fn decode(data: &[u8]) -> Result<Message, WireError> {
         let mut b = data;
-        if b.remaining() < 3 {
-            return Err(WireError::Truncated);
-        }
-        if b.get_u8() != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = b.get_u8();
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let t = b.get_u8();
-        macro_rules! need {
-            ($n:expr) => {
-                if b.remaining() < $n {
-                    return Err(WireError::Truncated);
-                }
-            };
-        }
-        Ok(match t {
+        Ok(match b.get_header(MAGIC, VERSION)? {
             ty::INPUT => {
-                need!(1);
+                b.need(1)?;
                 let from = b.get_u8();
                 let first = b.get_varint()?;
                 let ack = first.wrapping_add(unzigzag(b.get_varint()?));
@@ -334,55 +270,44 @@ impl Message {
                 })
             }
             ty::HELLO => {
-                need!(1 + 8);
+                b.need(1 + 8)?;
                 Message::Hello {
                     site: b.get_u8(),
                     rom_hash: b.get_u64_le(),
                 }
             }
             ty::HELLO_ACK => {
-                need!(8 + 8);
+                b.need(8 + 8)?;
                 Message::HelloAck {
                     rom_hash: b.get_u64_le(),
                     start_frame: b.get_u64_le(),
                 }
             }
             ty::PING => {
-                need!(4);
+                b.need(4)?;
                 Message::Ping {
                     nonce: b.get_u32_le(),
                 }
             }
             ty::PONG => {
-                need!(4);
+                b.need(4)?;
                 Message::Pong {
                     nonce: b.get_u32_le(),
                 }
             }
             ty::SNAPSHOT_REQUEST => Message::SnapshotRequest,
             ty::SNAPSHOT_CHUNK => {
-                need!(8 + 4 + 4 + 2);
-                let frame = b.get_u64_le();
-                let offset = b.get_u32_le();
-                let total = b.get_u32_le();
-                let n = b.get_u16_le() as usize;
-                if n > MAX_CHUNK_BYTES {
-                    return Err(WireError::TooLarge);
-                }
-                let Some(raw) = b.try_take(n) else {
-                    return Err(WireError::Truncated);
-                };
-                let bytes = Bytes::copy_from_slice(raw);
+                b.need(8 + 4 + 4)?;
                 Message::SnapshotChunk {
-                    frame,
-                    offset,
-                    total,
-                    bytes,
+                    frame: b.get_u64_le(),
+                    offset: b.get_u32_le(),
+                    total: b.get_u32_le(),
+                    bytes: b.get_field(2, MAX_CHUNK_BYTES)?.to_vec(),
                 }
             }
             ty::BYE => Message::Bye,
             ty::TIME_STAMP => {
-                need!(1 + 8);
+                b.need(1 + 8)?;
                 Message::TimeStamp {
                     site: b.get_u8(),
                     frame: b.get_u64_le(),
@@ -433,7 +358,7 @@ mod tests {
                 frame: 600,
                 offset: 2048,
                 total: 70_000,
-                bytes: Bytes::from_static(b"state-bytes"),
+                bytes: b"state-bytes".to_vec(),
             },
             Message::Bye,
             Message::TimeStamp { site: 1, frame: 77 },
@@ -486,24 +411,6 @@ mod tests {
             inputs: vec![],
         };
         assert_eq!(empty.last(), 9);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(Message::decode(&[]), Err(WireError::Truncated));
-        assert_eq!(Message::decode(&[1, 2]), Err(WireError::Truncated));
-        assert_eq!(
-            Message::decode(&[0x00, VERSION, 1]),
-            Err(WireError::BadMagic)
-        );
-        assert_eq!(
-            Message::decode(&[MAGIC, 99, 1]),
-            Err(WireError::BadVersion(99))
-        );
-        assert_eq!(
-            Message::decode(&[MAGIC, VERSION, 200]),
-            Err(WireError::UnknownType(200))
-        );
     }
 
     #[test]
@@ -612,11 +519,5 @@ mod tests {
                 assert!(len <= 22 + 4 * n, "{player:?} n={n}: {len} B");
             }
         }
-    }
-
-    #[test]
-    fn errors_display() {
-        assert!(WireError::BadVersion(3).to_string().contains('3'));
-        assert!(WireError::Truncated.to_string().contains("truncated"));
     }
 }

@@ -7,7 +7,6 @@ use crate::span::SpanStage;
 use coplay_clock::{SimDuration, SimTime};
 use std::fmt;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default flight-recorder capacity for [`Telemetry::recording`].
@@ -33,8 +32,6 @@ struct Sink {
     /// local site number.
     session: u64,
     site: u8,
-    /// Where [`Telemetry::flush`] persists the trace, if anywhere.
-    trace_path: Option<PathBuf>,
     /// First anomalous event observed since the last
     /// [`Telemetry::take_anomaly`], latched for black-box dumping.
     anomaly: Option<Event>,
@@ -49,7 +46,6 @@ impl Sink {
             metrics: MetricsRegistry::new(),
             session: 0,
             site: 0,
-            trace_path: None,
             anomaly: None,
             stall_anomaly: DEFAULT_STALL_ANOMALY,
             depth_anomaly: DEFAULT_DEPTH_ANOMALY,
@@ -223,44 +219,6 @@ impl Telemetry {
         self.lock().map(|s| (s.session, s.site))
     }
 
-    /// Sets where [`Telemetry::flush`] persists the trace dump. No-op when
-    /// disabled.
-    pub fn set_trace_path(&self, path: impl Into<PathBuf>) {
-        if let Some(mut sink) = self.lock() {
-            sink.trace_path = Some(path.into());
-        }
-    }
-
-    /// Writes the trace dump ([`Telemetry::trace_jsonl`]) to the path set
-    /// by [`Telemetry::set_trace_path`], creating parent directories.
-    ///
-    /// Returns `Ok(None)` when the handle is disabled or no path is set;
-    /// `Ok(Some(path))` after a successful write. Finished sessions call
-    /// this on *every* exit path so buffered trace records are never
-    /// silently dropped.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem error from creating directories or writing the file.
-    pub fn flush(&self) -> std::io::Result<Option<PathBuf>> {
-        let (path, dump) = {
-            let Some(sink) = self.lock() else {
-                return Ok(None);
-            };
-            let Some(path) = sink.trace_path.clone() else {
-                return Ok(None);
-            };
-            (path, trace_jsonl_of(&sink))
-        };
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(&path, dump)?;
-        Ok(Some(path))
-    }
-
     /// Takes the latched anomaly, if one occurred since the last call:
     /// a stall past the configured threshold, a rollback-depth spike, or a
     /// detected desync. Used by harnesses to decide when to write a
@@ -362,14 +320,8 @@ impl Telemetry {
     /// Renders all metrics in Prometheus text exposition format with the
     /// standard `coplay` prefix (empty string when disabled).
     pub fn prometheus(&self) -> String {
-        self.prometheus_with_prefix("coplay")
-    }
-
-    /// Renders all metrics in Prometheus text exposition format with a
-    /// caller-chosen metric name prefix.
-    pub fn prometheus_with_prefix(&self, prefix: &str) -> String {
         self.lock()
-            .map_or_else(String::new, |s| s.metrics.prometheus(prefix))
+            .map_or_else(String::new, |s| s.metrics.prometheus("coplay"))
     }
 
     /// Discards all recorded events, metrics, and any latched anomaly
@@ -657,20 +609,6 @@ mod tests {
             },
         );
         assert!(t.take_anomaly().is_some(), "tightened depth threshold");
-    }
-
-    #[test]
-    fn flush_writes_the_trace_to_its_path() {
-        let t = Telemetry::tracing(7, 0);
-        assert_eq!(t.flush().unwrap(), None, "no path set yet");
-        t.span(SimTime::from_micros(1), SpanStage::Sampled, 0, 0);
-        let path = std::env::temp_dir().join("coplay-test-flush/trace.jsonl");
-        t.set_trace_path(&path);
-        let written = t.flush().unwrap().expect("path set");
-        let contents = std::fs::read_to_string(&written).unwrap();
-        assert!(contents.starts_with("{\"event\":\"trace_meta\""));
-        assert_eq!(contents.lines().count(), 2);
-        let _ = std::fs::remove_file(&written);
     }
 
     #[test]

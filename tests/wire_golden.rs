@@ -6,7 +6,9 @@
 //! distinct non-zero field values so that a widened, narrowed, reordered
 //! or dropped field moves the bytes. For every pin the test asserts that
 //! the message encodes to the pinned bytes and that the pinned bytes
-//! decode to the message.
+//! decode to the message. The three codecs share one frame (a magic,
+//! version and type header, and one error type), so garbage must fail
+//! alike whichever codec reads it.
 //!
 //! A variant with no pin fails `every_variant_is_pinned`: the
 //! `variants!` tables are `match`es with no wildcard arm, so a new variant
@@ -20,13 +22,10 @@
 use std::fmt::{Debug, Write};
 
 use coplay::lobby::{JoinRefusal, LobbyMessage, SessionEntry, SessionId};
-use coplay::net::bytes::Bytes;
+use coplay::net::bytes::WireError;
 use coplay::net::PeerId;
-use coplay::relay::wire::{
-    decode_deliver, decode_forward, encode_deliver_into, encode_forward_into,
-};
 use coplay::relay::{RelayMessage, DEST_BROADCAST};
-use coplay::sync::{InputMsg, Message, WireError};
+use coplay::sync::{InputMsg, Message};
 use coplay::vm::InputWord;
 
 /// One pinned datagram.
@@ -56,13 +55,22 @@ fn from_hex(hex: &str) -> Vec<u8> {
         .collect()
 }
 
+/// `Ok` if `decoded` is `want`, else the decoded result, for the report.
+fn same<M: PartialEq + Debug>(decoded: Result<M, WireError>, want: &M) -> Result<(), String> {
+    match decoded {
+        Ok(m) if m == *want => Ok(()),
+        other => Err(format!("{other:?}")),
+    }
+}
+
 /// Checks every pin of one codec and panics with all mismatches at once,
-/// each with the datagram the code now writes.
-fn check<M: PartialEq + Debug, E: Debug>(
+/// each with the datagram the code now writes. `decodes_to` decodes a
+/// datagram and compares it with a message (see [`same`]).
+fn check<M: Debug>(
     codec: &str,
     pins: &[Golden<M>],
     encode: impl Fn(&M) -> Vec<u8>,
-    decode: impl Fn(&[u8]) -> Result<M, E>,
+    decodes_to: impl Fn(&[u8], &M) -> Result<(), String>,
 ) {
     let mut failures = String::new();
     for pin in pins {
@@ -84,8 +92,7 @@ fn check<M: PartialEq + Debug, E: Debug>(
             );
             continue;
         }
-        let decoded = decode(&pinned);
-        if decoded.as_ref().ok() != Some(&pin.msg) {
+        if let Err(decoded) = decodes_to(&pinned, &pin.msg) {
             let _ = writeln!(
                 failures,
                 "{codec} {}: the pinned datagram decodes to {decoded:?}, not {:?}",
@@ -228,7 +235,7 @@ fn sync_pins() -> Vec<Golden<Message>> {
                 frame: 0x6162_6364_6566_6768,
                 offset: 0x0708_090A,
                 total: 0x7172_7374,
-                bytes: Bytes::from_static(&[0x81, 0x82, 0x83]),
+                bytes: vec![0x81, 0x82, 0x83],
             },
             "c5030768676665646362610a090807747372710300818283",
         ),
@@ -334,7 +341,7 @@ fn lobby_pins() -> Vec<Golden<LobbyMessage>> {
     ]
 }
 
-fn relay_pins() -> Vec<Golden<RelayMessage>> {
+fn relay_pins() -> Vec<Golden<RelayMessage<'static>>> {
     let session = 0x1112_1314;
     vec![
         golden(
@@ -355,7 +362,7 @@ fn relay_pins() -> Vec<Golden<RelayMessage>> {
             "Forward",
             RelayMessage::Forward {
                 dest: DEST_BROADCAST,
-                payload: Bytes::from_static(&[0xC5, 0x21, 0x22]),
+                payload: &[0xC5, 0x21, 0x22],
             },
             "c70103fe0300c52122",
         ),
@@ -363,7 +370,7 @@ fn relay_pins() -> Vec<Golden<RelayMessage>> {
             "Deliver",
             RelayMessage::Deliver {
                 from_site: 4,
-                payload: Bytes::from_static(&[0xC5, 0x31, 0x32, 0x33]),
+                payload: &[0xC5, 0x31, 0x32, 0x33],
             },
             "c70104040400c5313233",
         ),
@@ -391,55 +398,23 @@ fn relay_pins() -> Vec<Golden<RelayMessage>> {
 
 #[test]
 fn sync_datagrams_match_their_pins() {
-    check("sync", &sync_pins(), Message::encode, Message::decode);
+    check("sync", &sync_pins(), Message::encode, |b, m| {
+        same(Message::decode(b), m)
+    });
 }
 
 #[test]
 fn lobby_datagrams_match_their_pins() {
-    check(
-        "lobby",
-        &lobby_pins(),
-        LobbyMessage::encode,
-        LobbyMessage::decode,
-    );
+    check("lobby", &lobby_pins(), LobbyMessage::encode, |b, m| {
+        same(LobbyMessage::decode(b), m)
+    });
 }
 
 #[test]
 fn relay_datagrams_match_their_pins() {
-    check(
-        "relay",
-        &relay_pins(),
-        RelayMessage::encode,
-        RelayMessage::decode,
-    );
-}
-
-/// The relay's zero-copy `Forward`/`Deliver` writers and readers, which
-/// the hot paths use in place of the enum, agree with the same pins.
-#[test]
-fn relay_fast_paths_match_the_envelope_pins() {
-    for pin in relay_pins() {
-        let pinned = from_hex(pin.hex);
-        let mut fast = vec![0xFF; 4];
-        let (site, payload, decoded) = match &pin.msg {
-            RelayMessage::Forward { dest, payload } => {
-                encode_forward_into(&mut fast, *dest, payload);
-                (*dest, payload, decode_forward(&pinned))
-            }
-            RelayMessage::Deliver { from_site, payload } => {
-                encode_deliver_into(&mut fast, *from_site, payload);
-                (*from_site, payload, decode_deliver(&pinned))
-            }
-            _ => continue,
-        };
-        assert_eq!(
-            to_hex(&fast),
-            pin.hex,
-            "relay {}: the zero-copy writer disagrees with the pin",
-            pin.case
-        );
-        assert_eq!(decoded, Ok((site, &payload[..])), "relay {}", pin.case);
-    }
+    check("relay", &relay_pins(), RelayMessage::encode, |b, m| {
+        same(RelayMessage::decode(b), m)
+    });
 }
 
 #[test]
@@ -463,4 +438,57 @@ fn a_version_2_hello_is_refused() {
     // rather than reading a peer whose layout it does not speak.
     let v2 = from_hex("c5020202181716151413121101");
     assert_eq!(Message::decode(&v2), Err(WireError::BadVersion(2)));
+}
+
+/// The pins of one codec as datagrams.
+fn datagrams<M>(pins: &[Golden<M>]) -> Vec<Vec<u8>> {
+    pins.iter().map(|p| from_hex(p.hex)).collect()
+}
+
+/// The codecs share one frame, so each reads garbage alike: a foreign
+/// magic is `BadMagic`, a wrong version `BadVersion`, an unknown type
+/// `UnknownType`, and every strict prefix of every pin `Truncated`.
+#[test]
+fn every_codec_rejects_garbage_alike() {
+    type Decode = fn(&[u8]) -> Option<WireError>;
+    let codecs: [(&str, Vec<Vec<u8>>, Decode); 3] = [
+        ("sync", datagrams(&sync_pins()), |b| {
+            Message::decode(b).err()
+        }),
+        ("lobby", datagrams(&lobby_pins()), |b| {
+            LobbyMessage::decode(b).err()
+        }),
+        ("relay", datagrams(&relay_pins()), |b| {
+            RelayMessage::decode(b).err()
+        }),
+    ];
+    for (codec, pins, decode) in &codecs {
+        let (magic, version) = (pins[0][0], pins[0][1]);
+        assert_eq!(decode(&[0x00, version, 1]), Some(WireError::BadMagic));
+        for (foreign, foreign_pins, _) in &codecs {
+            for pin in foreign_pins.iter().filter(|_| foreign != codec) {
+                let got = decode(pin);
+                assert_eq!(got, Some(WireError::BadMagic), "{codec} read {foreign}");
+            }
+        }
+        for t in [0, 200] {
+            let got = decode(&[magic, version, t]);
+            assert_eq!(got, Some(WireError::UnknownType(t)), "{codec}");
+        }
+        for pin in pins {
+            let mut newer = pin.clone();
+            newer[1] = version + 1;
+            let got = decode(&newer);
+            assert_eq!(got, Some(WireError::BadVersion(version + 1)), "{codec}");
+            for keep in 0..pin.len() {
+                let got = decode(&pin[..keep]);
+                let pin = to_hex(pin);
+                assert_eq!(
+                    got,
+                    Some(WireError::Truncated),
+                    "{codec} {pin} cut to {keep}"
+                );
+            }
+        }
+    }
 }
