@@ -16,10 +16,10 @@
 //! double ([`coplay_bench::Guard`], shared with hotpath, with a direction
 //! per metric). The reference lives at `results/fleet_baseline.json`.
 
-// This harness times the event loop from outside the determinism fence, so
-// the wall-clock ban does not apply (see detlint policy for
-// crates/bench/src/bin/).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness times the event loop from outside the determinism fence"
+)]
 
 use std::time::Instant;
 

@@ -18,10 +18,10 @@
 //! The checked-in reference lives at `results/hotpath_baseline.json`; the
 //! guard itself is [`coplay_bench::Guard`], shared with `fleet`.
 
-// This harness times the hot loop from outside the determinism fence, so
-// the wall-clock ban does not apply (see detlint policy for
-// crates/bench/src/bin/).
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness times the hot loop from outside the determinism fence"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -87,9 +87,10 @@ pub struct SystemClock {
 
 impl SystemClock {
     /// Creates a clock whose origin is "now".
-    // The one sanctioned wall-clock read: everything downstream sees only
-    // SimTime offsets from this origin.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned wall-clock read: everything downstream sees only SimTime offsets from this origin"
+    )]
     pub fn new() -> Self {
         SystemClock {
             origin: Instant::now(),
@@ -104,6 +105,10 @@ impl Default for SystemClock {
 }
 
 impl Clock for SystemClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall clock, read as an offset from the origin `new` took"
+    )]
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.origin.elapsed().as_micros() as u64)
     }

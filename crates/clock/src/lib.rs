@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::print_stdout)]
 
 mod clock;
 mod queue;

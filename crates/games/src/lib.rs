@@ -32,6 +32,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
+#![deny(clippy::float_arithmetic)]
+#![deny(clippy::print_stdout)]
 
 mod brawler;
 mod breakout;

@@ -196,7 +196,10 @@ mod tests {
     use coplay_net::loopback;
 
     /// Runs a lobby server on a thread over a loopback link for `dur`.
-    #[allow(clippy::disallowed_methods)] // bounds real wall-clock runtime of the server thread
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds the real wall-clock runtime of the server thread"
+    )]
     fn spawn_server(
         mut transport: impl Transport + Send + 'static,
         dur: std::time::Duration,
@@ -204,9 +207,7 @@ mod tests {
         std::thread::spawn(move || {
             let clock = SystemClock::new();
             let mut server = LobbyServer::new();
-            // detlint: allow(wall_clock) -- test harness bounds real server runtime
             let end = std::time::Instant::now() + dur;
-            // detlint: allow(wall_clock) -- test harness bounds real server runtime
             while std::time::Instant::now() < end {
                 let now = clock.now();
                 while let Some((from, data)) = transport.try_recv().expect("recv") {

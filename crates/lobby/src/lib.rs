@@ -21,6 +21,18 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout)]
+// The whole crate faces the network: it returns typed errors and never
+// panics on what a socket or a peer hands it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod client;
 mod server;

@@ -6,6 +6,10 @@
 //! retransmit requests until answered (the server is stateless per
 //! request).
 
+// A wire codec reads untrusted bytes: it never indexes out of range (the
+// crate root denies the panic family).
+#![deny(clippy::indexing_slicing)]
+
 use std::fmt;
 
 use coplay_net::bytes::{Buf, BufMut, WireError};

@@ -19,6 +19,18 @@
 //! [`Buf::need`]. The variable-length reads cannot be length-checked up
 //! front, so they return a [`WireError`] instead.
 
+// A wire codec reads untrusted bytes: it returns typed errors and never
+// panics or indexes out of range.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::error::Error;
 use std::fmt;
 

@@ -36,6 +36,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout)]
 
 pub mod bytes;
 mod netem;

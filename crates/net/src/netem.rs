@@ -10,6 +10,17 @@
 //! A [`NetemChannel`] models **one direction** of a link: feed it a packet's
 //! send time and it answers with zero, one, or two delivery times.
 
+// Network-facing code returns typed errors and never panics on what a
+// socket or a peer hands it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::rng::DetRng;
 use coplay_clock::{SimDuration, SimTime};
 

@@ -6,6 +6,17 @@
 //! network in lockstep with its virtual clock. [`SimSocket`] hands each site
 //! a [`Transport`] view of the shared network.
 
+// Network-facing code returns typed errors and never panics on what a
+// socket or a peer hands it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;

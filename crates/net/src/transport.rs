@@ -6,6 +6,17 @@
 //! may be lost, duplicated, or reordered; they are never corrupted or
 //! partially delivered.
 
+// Network-facing code returns typed errors and never panics on what a
+// socket or a peer hands it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;

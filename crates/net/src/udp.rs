@@ -6,6 +6,17 @@
 //! socket is non-blocking so the frame loop's `SyncInput` poll never stalls
 //! in the kernel.
 
+// Network-facing code returns typed errors and never panics on what a
+// socket or a peer hands it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};

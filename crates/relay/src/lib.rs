@@ -24,6 +24,19 @@
 //!
 //! [`Transport`]: coplay_net::Transport
 
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout)]
+// The whole crate faces the network: it returns typed errors and never
+// panics on what a socket or a peer hands it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod client;
 pub mod server;
 pub mod udp;

@@ -182,11 +182,11 @@ impl<A: Copy + Ord> RelayCore<A> {
         RelayCore {
             cfg,
             // Constructor-time containers; every per-datagram path reuses them.
-            slots: Vec::new(),           // detlint: allow(hot_alloc) -- constructor
-            free: Vec::new(),            // detlint: allow(hot_alloc) -- constructor
-            by_session: BTreeMap::new(), // detlint: allow(hot_alloc) -- constructor
-            by_addr: BTreeMap::new(),    // detlint: allow(hot_alloc) -- constructor
-            out: Vec::new(),             // detlint: allow(hot_alloc) -- constructor
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_session: BTreeMap::new(),
+            by_addr: BTreeMap::new(),
+            out: Vec::new(),
             out_len: 0,
             stats: RelayStats::default(),
             telemetry: Telemetry::disabled(),
@@ -494,7 +494,6 @@ impl<A: Copy + Ord> RelayCore<A> {
                 }
                 self.slots.push(Slot {
                     session: 0,
-                    // detlint: allow(hot_alloc) -- slab growth; freed slots keep capacity
                     members: Vec::new(),
                     bucket: TokenBucket::full(self.cfg.bucket_burst, now),
                     drops: 0,
@@ -536,7 +535,6 @@ fn out_slot<'a, A: Copy>(
     to: A,
 ) -> &'a mut Vec<u8> {
     if *out_len == out.len() {
-        // detlint: allow(hot_alloc) -- grows to the high-water fan-out, then reused
         out.push((to, Vec::new()));
     }
     let i = *out_len;

@@ -129,9 +129,10 @@ impl UdpRelay {
     ///
     /// Propagates the first socket error from [`poll`](UdpRelay::poll)
     /// or from switching the socket between blocking and non-blocking.
-    // Wall clock is the relay's legitimate time source: it serves live
-    // clients and only feeds eviction timers, never simulation state.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the relay serves live clients on the wall clock; it feeds eviction timers, never simulation state"
+    )]
     pub fn run_until(&mut self, mut stop: impl FnMut() -> bool) -> io::Result<()> {
         let epoch = *self.epoch.get_or_insert_with(Instant::now);
         while !stop() {

@@ -14,6 +14,10 @@
 //! from, so the relay's fan-out and the client's unwrap copy nothing on
 //! the way through the codec.
 
+// A wire codec reads untrusted bytes: it never indexes out of range (the
+// crate root denies the panic family).
+#![deny(clippy::indexing_slicing)]
+
 use coplay_net::bytes::{Buf, BufMut, WireError};
 
 const MAGIC: u8 = 0xC7;

@@ -10,5 +10,6 @@
 //! directly.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout)]
 
 pub use coplay_sync::{CheckpointReport, InputPredictor, RollbackSession, SnapshotRing};

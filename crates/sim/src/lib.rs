@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout)]
 
 mod experiment;
 pub mod metrics;

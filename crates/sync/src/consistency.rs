@@ -22,6 +22,16 @@
 //! play against a lockstep site: each maintains logical consistency its own
 //! way while the merged authoritative input sequence stays the same.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 
 use coplay_clock::SimTime;
@@ -123,11 +133,8 @@ impl<P: InputPredictor> Speculative<P> {
             predictor,
             ring: SnapshotRing::new(SnapshotRing::capacity_for(max_rollback_frames, 1)),
             rollback_dirty: DirtyPages::default(),
-            // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
             restore_buf: Vec::new(),
-            // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
             used: BTreeMap::new(),
-            // detlint: allow(hot_alloc) -- one-time constructor allocation, not per-frame
             recent_hashes: BTreeMap::new(),
             pending_rollback: None,
             known_hash: None,
@@ -292,17 +299,14 @@ impl<P: InputPredictor> Speculative<P> {
         let info = self
             .ring
             .rewind_into(target, &mut self.restore_buf, &mut self.rollback_dirty)
-            // detlint: allow(hot_alloc) -- error path; the session is about to abort
             .map_err(|e| SyncError::Snapshot(e.to_string()))?;
         machine
             .load_state_dirty(&self.restore_buf, &self.rollback_dirty)
-            // detlint: allow(hot_alloc) -- error path; the session is about to abort
             .map_err(|e| SyncError::Snapshot(e.to_string()))?;
         let restored: usize = self.rollback_dirty.byte_ranges().map(|(s, e)| e - s).sum();
         cfg.telemetry
             .counter_add("snapshot_bytes_restored_total", restored as u64);
         if machine.state_hash() != info.hash {
-            // detlint: allow(hot_alloc) -- error path; the session is about to abort
             return Err(SyncError::Snapshot(format!(
                 "checkpoint for frame {} restored to a mismatched state hash",
                 info.frame
@@ -335,7 +339,6 @@ impl<P: InputPredictor> Speculative<P> {
         self.ring
             .restore_into(limit, out)
             .map(|info| Some(info.frame))
-            // detlint: allow(hot_alloc) -- join path error; the join is abandoned
             .map_err(|e| SyncError::Snapshot(e.to_string()))
     }
 

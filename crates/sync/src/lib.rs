@@ -68,6 +68,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+#![deny(clippy::float_arithmetic)]
+#![deny(clippy::print_stdout)]
 
 mod config;
 mod consistency;

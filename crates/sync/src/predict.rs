@@ -6,6 +6,16 @@
 //! partial — human button presses persist for many frames, so the guess is
 //! usually right and most speculated frames never need a rollback.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use coplay_vm::InputWord;
 
 /// A policy for guessing a remote site's partial input.

@@ -30,6 +30,16 @@
 //! from its first tick, so two sites that boot together both start about
 //! one one-way delay later.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 
 use coplay_clock::{SimDelta, SimDuration, SimTime};
@@ -61,9 +71,14 @@ const JOIN_RETRY: SimDuration = SimDuration::from_millis(200);
 
 /// Largest snapshot a latecomer assembles. A chunk announcing a larger
 /// `total` is dropped before anything is allocated: `total` comes off the
-/// wire from any sender, and could otherwise reserve up to 4 GiB. Well
-/// above the largest state a bundled machine saves (the console's 85 248 B).
+/// wire, and could otherwise reserve up to 4 GiB. Well above the largest
+/// state a bundled machine saves (the console's 85 248 B).
 const MAX_SNAPSHOT_BYTES: usize = 1 << 20;
+
+/// The site a latecomer asks for its snapshot, and the only one whose
+/// chunks it assembles: a chunk from any other sender would otherwise
+/// restart the assembly and discard the chunks already received.
+const SNAPSHOT_SOURCE: PeerId = PeerId(0);
 
 /// One site of a distributed game session, whatever its consistency mode.
 ///
@@ -232,7 +247,6 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
     /// Drains the per-frame state hashes that have become authoritative;
     /// see [`Session::drain_confirmed`].
     pub fn take_confirmed(&mut self) -> Vec<(u64, u64)> {
-        // detlint: allow(hot_alloc) -- empty until pushed; ownership moves to the caller
         let mut out = Vec::new();
         self.drain_confirmed(None, &mut out);
         out
@@ -250,17 +264,13 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         let dead_zone = cfg.sync_dead_zone.min(cfg.local_lag() / 4);
         let timer = FrameTimer::new(tpf, cfg.is_master(), cfg.rate_sync, cfg.buf_frames)
             .with_dead_zone(dead_zone)
-            // detlint: allow(hot_alloc) -- constructor-time Arc handle clone, not per-frame
             .with_telemetry(cfg.telemetry.clone());
-        // detlint: allow(hot_alloc) -- constructor-time Arc handle clone, not per-frame
         let rtt = RttEstimator::default().with_telemetry(cfg.telemetry.clone());
         let phase = Phase::Connecting {
             next_hello: SimTime::ZERO,
-            // detlint: allow(hot_alloc) -- constructor-time handshake state, not per-frame
             joins: BTreeMap::new(),
         };
         Session {
-            // detlint: allow(hot_alloc) -- one-time config clone at session construction
             sync: InputSync::new(cfg.clone()),
             timer,
             rtt,
@@ -271,7 +281,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
             time_server: None,
             stats: SessionStats::default(),
             blocked_at: None,
-            // detlint: allow(hot_alloc) -- reusable buffer; grows once, then steady-state
             send_buf: Vec::new(),
             last_tick_at: SimTime::ZERO,
             cfg,
@@ -369,7 +378,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         self.repair(now)?;
         loop {
             match &mut self.phase {
-                // detlint: allow(hot_alloc) -- terminal stop path, runs once per session
                 Phase::Done(reason) => return Ok(Step::Stopped(reason.clone())),
                 Phase::Connecting { next_hello, joins } => {
                     let mut players = self.cfg.peers();
@@ -383,9 +391,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                                 next_request: SimTime::ZERO,
                                 frame: 0,
                                 total: 0,
-                                // detlint: allow(hot_alloc) -- join path; empty until the first chunk
                                 buf: Vec::new(),
-                                // detlint: allow(hot_alloc) -- join path; empty until the first chunk
                                 received: Vec::new(),
                             }
                         };
@@ -432,10 +438,8 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                         );
                         self.machine
                             .load_state(&bytes)
-                            // detlint: allow(hot_alloc) -- join path error; the session is about to abort
                             .map_err(|e| SyncError::Snapshot(e.to_string()))?;
                         self.frame = frame;
-                        // detlint: allow(hot_alloc) -- once per join
                         self.sync = InputSync::new_at(self.cfg.clone(), frame);
                         self.phase = Phase::Run(RunState::StartAt(now));
                         continue;
@@ -443,7 +447,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                     if now >= *next_request {
                         *next_request = now + JOIN_RETRY;
                         self.transport
-                            .send(PeerId(0), &Message::SnapshotRequest.encode())?;
+                            .send(SNAPSHOT_SOURCE, &Message::SnapshotRequest.encode())?;
                     }
                     return Ok(Step::Wait(*next_request));
                 }
@@ -791,7 +795,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                 } else {
                     match self.policy.speculative() {
                         None => self.sync.pointer(),
-                        // detlint: allow(hot_alloc) -- join handshake, once per joining site
                         Some(_) => self.authoritative_state(&mut Vec::new())?,
                     }
                 };
@@ -816,7 +819,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
             Message::SnapshotRequest => {
                 // Serve an authoritative state in chunks (master only, but
                 // any player can technically serve).
-                // detlint: allow(hot_alloc) -- join path; one snapshot per latecomer request
                 let mut state = Vec::new();
                 let frame = self.authoritative_state(&mut state)?;
                 let total = state.len();
@@ -832,13 +834,13 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                         frame,
                         offset: (i * MAX_CHUNK_BYTES) as u32,
                         total: total as u32,
-                        // detlint: allow(hot_alloc) -- join path; one copy per chunk served
                         bytes: chunk.to_vec(),
                     };
                     self.transport.send(from, &m.encode())?;
                 }
             }
-            Message::SnapshotChunk { total, .. } if total as usize > MAX_SNAPSHOT_BYTES => {}
+            Message::SnapshotChunk { total, .. }
+                if from != SNAPSHOT_SOURCE || total as usize > MAX_SNAPSHOT_BYTES => {}
             Message::SnapshotChunk {
                 frame,
                 offset,
@@ -858,9 +860,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                         // New (or first) snapshot generation: restart assembly.
                         *cur_frame = frame;
                         *cur_total = total;
-                        // detlint: allow(hot_alloc) -- join path; once per snapshot generation
                         *buf = vec![0; total];
-                        // detlint: allow(hot_alloc) -- join path; once per snapshot generation
                         *received = vec![false; total.div_ceil(MAX_CHUNK_BYTES)];
                     }
                     let offset = offset as usize;
@@ -934,7 +934,6 @@ mod tests {
     use coplay_net::{loopback, LoopbackTransport, NetemConfig, SimNetwork, SimSocket};
     use coplay_telemetry::Telemetry;
     use coplay_vm::{FrameBuffer, MachineInfo, NullMachine, Player, StateError};
-    use std::cell::Cell;
 
     type Sess<C, S = RandomPresser> = Session<NullMachine, LoopbackTransport, S, C>;
     type New<C, S> = fn(SyncConfig, NullMachine, LoopbackTransport, S) -> Sess<C, S>;
@@ -1508,9 +1507,13 @@ mod tests {
 
     /// A [`NullMachine`] that counts its `state_hash` calls.
     #[derive(Default)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test probe that counts calls made through `&self`"
+    )]
     struct HashCounting {
         inner: NullMachine,
-        hashes: Cell<u64>,
+        hashes: std::cell::Cell<u64>,
     }
 
     impl Machine for HashCounting {
@@ -1556,7 +1559,6 @@ mod tests {
         let net = SimNetwork::shared(clock.clone());
         let link = NetemConfig::with_rtt(SimDuration::from_millis(200))
             .jitter(SimDuration::from_millis(20))
-            // detlint: allow(float) -- the test link's loss rate, not game state
             .loss(0.05);
         SimNetwork::link_pair(&net, PeerId(0), PeerId(1), link, 7);
         let mut sites = [(0, Player::ONE), (1, Player::TWO)].map(|(site, player)| {
@@ -1679,6 +1681,58 @@ mod tests {
         assert_eq!(b.machine().state_hash(), host.state_hash());
     }
 
+    /// A chunk from a site the latecomer did not ask, arriving between the
+    /// two chunks of the real snapshot, neither restarts nor delays the
+    /// join: it completes at the same tick and frame as without it.
+    #[test]
+    fn latecomer_assembles_chunks_only_from_the_site_it_asked() {
+        let join = |stray: Option<Message>| {
+            let (mut ta, tb) = loopback(PeerId(0), PeerId(1));
+            let mut b =
+                LockstepSession::new(SyncConfig::two_player(1), NullMachine::new(), tb, Idle);
+            let _ = b.tick(SimTime::ZERO).unwrap(); // greets site 0
+            let ack = Message::HelloAck {
+                rom_hash: NullMachine::new().state_hash(),
+                start_frame: 5,
+            };
+            ta.send(PeerId(1), &ack.encode()).unwrap();
+            let _ = b.tick(SimTime::from_millis(1)).unwrap(); // requests the snapshot
+            let mut host = NullMachine::new();
+            for _ in 0..5 {
+                host.step_frame(InputWord::NONE);
+            }
+            // Two chunks: the host's state padded past one chunk's length.
+            let mut state = host.save_state();
+            state.resize(MAX_CHUNK_BYTES + 16, 0);
+            let (first, second) = state.split_at(MAX_CHUNK_BYTES);
+            let chunk = |offset: usize, bytes: &[u8]| Message::SnapshotChunk {
+                frame: 5,
+                offset: offset as u32,
+                total: state.len() as u32,
+                bytes: bytes.to_vec(),
+            };
+            ta.send(PeerId(1), &chunk(0, first).encode()).unwrap();
+            let _ = b.tick(SimTime::from_millis(2)).unwrap();
+            if let Some(stray) = stray {
+                b.handle_message(PeerId(2), stray, SimTime::from_millis(2))
+                    .unwrap();
+            }
+            ta.send(PeerId(1), &chunk(MAX_CHUNK_BYTES, second).encode())
+                .unwrap();
+            let _ = b.tick(SimTime::from_millis(3)).unwrap();
+            assert_eq!(b.machine().state_hash(), host.state_hash());
+            b.frame()
+        };
+        let stray = Message::SnapshotChunk {
+            frame: 9,
+            offset: 0,
+            total: 32,
+            bytes: vec![0xAA; 32],
+        };
+        assert_eq!(join(None), 5);
+        assert_eq!(join(Some(stray)), 5, "the stray chunk delayed the join");
+    }
+
     /// The frame whose begin changes site 0's scripted input: odd, so its
     /// begin falls inside the 20 ms send interval that frame 4's paced
     /// send opened (frames are 16.7 ms apart). Frame f buffers the input
@@ -1755,7 +1809,6 @@ mod tests {
         let net = SimNetwork::shared(clock.clone());
         let link = NetemConfig::with_rtt(SimDuration::from_millis(80))
             .jitter(SimDuration::from_millis(8))
-            // detlint: allow(float) -- the test link's loss rate, not game state
             .loss(0.05);
         SimNetwork::link_pair(&net, PeerId(0), PeerId(1), link, 3);
         let mut sites = [(0, Player::ONE), (1, Player::TWO)].map(|(site, player)| {

@@ -34,6 +34,16 @@
 //! rewound; the next capture into that position reuses them, so once warm
 //! the checkpoint path allocates nothing.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::error::Error;
 use std::fmt;
 
@@ -169,7 +179,6 @@ impl SnapshotRing {
             slots: (0..capacity).map(|_| Slot::default()).collect(),
             head: 0,
             len: 0,
-            // detlint: allow(hot_alloc) -- grows once to state size, then reused
             tail: Vec::new(),
         }
     }

@@ -20,6 +20,16 @@
 //! full-mesh N-site sessions and input-less observer sites, both from the
 //! journal version's feature list.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 
 use coplay_clock::SimTime;
@@ -319,10 +329,8 @@ impl InputSync {
     /// and new information exists. Returns `(destination, message)` pairs.
     pub fn outgoing(&mut self, now: SimTime) -> Vec<(u8, InputMsg)> {
         if now < self.next_send {
-            // detlint: allow(hot_alloc) -- empty Vec::new() does not touch the heap
             return Vec::new();
         }
-        // detlint: allow(hot_alloc) -- non-empty only on paced sends and expedited ones (at most one per frame)
         let mut out = Vec::new();
         let my_site = self.cfg.my_site;
         let my_last = self.my_last_buffered;
@@ -354,7 +362,6 @@ impl InputSync {
             let inputs = if last >= first {
                 self.buf.partial_range(my_site, first..=last)
             } else {
-                // detlint: allow(hot_alloc) -- empty Vec::new() does not touch the heap
                 Vec::new()
             };
             let count = inputs.len() as u32;
@@ -809,7 +816,7 @@ mod tests {
                         0 => a.on_message(&m, t),
                         1 => b.on_message(&m, t),
                         OBSERVER_SITE => o.on_message(&m, t),
-                        _ => unreachable!(),
+                        _ => panic!("no site {dst}"),
                     };
                 }
             };

@@ -30,6 +30,18 @@
 //! obscure it. A build speaking another version cannot join: its
 //! datagrams decode as [`WireError::BadVersion`] and are dropped.
 
+// A wire codec reads untrusted bytes: it returns typed errors and never
+// panics or indexes out of range.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub use coplay_net::bytes::WireError;
 use coplay_net::bytes::{Buf, BufMut};
 use coplay_vm::InputWord;

@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::print_stdout)]
 
 mod event;
 pub mod forensics;

@@ -4,6 +4,16 @@
 //! produces bit-identical sample buffers, so audio participates in the
 //! determinism contract like everything else.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// Samples generated per second.
 pub const SAMPLE_RATE: u32 = 44_100;
 
@@ -57,7 +67,6 @@ impl AudioChannel {
             frames_left: 0,
             volume: 0,
             phase: 0,
-            // detlint: allow(hot_alloc) -- constructor; the buffer is reused across every rendered frame
             buffer: Vec::new(),
             // No snapshot has seen this channel yet.
             dirty: true,
@@ -153,14 +162,11 @@ impl AudioChannel {
 
     /// Restores state written by [`AudioChannel::save`].
     pub fn load(&mut self, bytes: &[u8; 14]) {
-        // detlint: allow(panic_path) -- fixed-size input; every window is statically in range
-        self.freq_hz = u32::from_le_bytes(bytes[0..4].try_into().expect("slice len 4"));
-        // detlint: allow(panic_path) -- fixed-size input; every window is statically in range
-        self.frames_left = u32::from_le_bytes(bytes[4..8].try_into().expect("slice len 4"));
-        // detlint: allow(panic_path) -- fixed-size input; every window is statically in range
-        self.volume = i16::from_le_bytes(bytes[8..10].try_into().expect("slice len 2"));
-        // detlint: allow(panic_path) -- fixed-size input; every window is statically in range
-        self.phase = u32::from_le_bytes(bytes[10..14].try_into().expect("slice len 4"));
+        let [f0, f1, f2, f3, l0, l1, l2, l3, v0, v1, p0, p1, p2, p3] = *bytes;
+        self.freq_hz = u32::from_le_bytes([f0, f1, f2, f3]);
+        self.frames_left = u32::from_le_bytes([l0, l1, l2, l3]);
+        self.volume = i16::from_le_bytes([v0, v1]);
+        self.phase = u32::from_le_bytes([p0, p1, p2, p3]);
         self.dirty = true;
     }
 }

@@ -6,6 +6,16 @@
 //! load any [`Rom`] and the board runs it deterministically at its declared
 //! frame rate.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::audio::AudioChannel;
 use crate::cpu::{Cpu, Devices, MEM_SIZE};
 use crate::dirty::DirtyPages;
@@ -223,7 +233,6 @@ impl Devices for Bus<'_> {
 impl Machine for Console {
     fn info(&self) -> MachineInfo {
         MachineInfo {
-            // detlint: allow(hot_alloc) -- session-setup metadata, never on the frame path
             title: self.rom.title().to_string(),
             players: self.rom.players(),
             cfps: self.rom.cfps(),
@@ -303,7 +312,6 @@ impl Machine for Console {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        // detlint: allow(hot_alloc) -- the allocating convenience variant; hot callers use save_state_into
         let mut out = Vec::with_capacity(self.state_len());
         self.save_state_into(&mut out);
         out
@@ -322,6 +330,10 @@ impl Machine for Console {
         out.extend_from_slice(self.fb.pixels());
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the length checked on entry covers every fixed-size window"
+    )]
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let expected = self.state_len();
         if bytes.len() < expected {
@@ -333,20 +345,16 @@ impl Machine for Console {
         if &bytes[..STATE_MAGIC.len()] != STATE_MAGIC {
             return Err(StateError::BadMagic);
         }
-        // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
         let rom_hash = u64::from_le_bytes(bytes[5..13].try_into().expect("len 8"));
         if rom_hash != self.rom.content_hash() {
             return Err(StateError::WrongMachine);
         }
-        // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
         self.frame = u64::from_le_bytes(bytes[13..21].try_into().expect("len 8"));
         self.cpu
             .deserialize_small(&bytes[21..HEAD_LEN])
-            // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
             .expect("length checked above");
         self.cpu.restore_mem_full(&bytes[MEM_OFF..AUD_OFF]);
         let aud = &bytes[AUD_OFF..AUD_OFF + AUD_LEN];
-        // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
         self.audio.load(aud.try_into().expect("len 14"));
         self.fb.load_pixels(&bytes[FB_OFF..expected]);
         // A full load re-baselines the machine against an arbitrary
@@ -405,6 +413,10 @@ impl Machine for Console {
         self.save_state_ranges_into(out, dirty);
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the length checked on entry covers every fixed-size window"
+    )]
     fn load_state_dirty(&mut self, bytes: &[u8], dirty: &DirtyPages) -> Result<(), StateError> {
         let expected = self.state_len();
         if bytes.len() < expected {
@@ -416,7 +428,6 @@ impl Machine for Console {
         if &bytes[..STATE_MAGIC.len()] != STATE_MAGIC {
             return Err(StateError::BadMagic);
         }
-        // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
         let rom_hash = u64::from_le_bytes(bytes[5..13].try_into().expect("len 8"));
         if rom_hash != self.rom.content_hash() {
             return Err(StateError::WrongMachine);
@@ -427,11 +438,9 @@ impl Machine for Console {
         }
         // The head is always restored: capture always marks it, and it
         // costs only 62 bytes to parse.
-        // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
         self.frame = u64::from_le_bytes(bytes[13..21].try_into().expect("len 8"));
         self.cpu
             .deserialize_small(&bytes[21..HEAD_LEN])
-            // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
             .expect("length checked above");
         // Every marked range is dispatched onto the overlapped regions.
         // Component restores re-mark their accumulators, because the
@@ -450,7 +459,6 @@ impl Machine for Console {
             }
             if !audio_done && s < AUD_OFF + AUD_LEN && e > AUD_OFF {
                 let aud = &bytes[AUD_OFF..AUD_OFF + AUD_LEN];
-                // detlint: allow(panic_path) -- `expected` length checked on entry covers every window
                 self.audio.load(aud.try_into().expect("len 14"));
                 audio_done = true;
             }

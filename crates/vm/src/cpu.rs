@@ -9,6 +9,16 @@
 //! so self-modifying programs need no special handling: a store is
 //! visible to the very next fetch.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::hash::StateHasher;
 use crate::isa::{Instruction, Reg, Syscall, INSTR_SIZE};
 
@@ -77,6 +87,10 @@ impl std::fmt::Debug for Cpu {
 impl Cpu {
     /// Creates a CPU with zeroed memory, `pc = entry`, and RNG seeded with
     /// `seed`.
+    #[expect(
+        clippy::expect_used,
+        reason = "a boxed slice of MEM_SIZE bytes converts to a MEM_SIZE array"
+    )]
     pub fn new(entry: u16, seed: u32) -> Cpu {
         Cpu {
             regs: [0; 16],
@@ -88,11 +102,9 @@ impl Cpu {
             lcg: seed,
             halted: false,
             faulted: false,
-            // detlint: allow(hot_alloc) -- one-time 64 KiB backing store at construction
             mem: vec![0u8; MEM_SIZE]
                 .into_boxed_slice()
                 .try_into()
-                // detlint: allow(panic_path) -- boxed slice has exactly MEM_SIZE elements
                 .expect("len"),
             // A fresh CPU has no reference snapshot to be clean against.
             dirty: [!0u64; MEM_SIZE / 256 / 64],
@@ -408,20 +420,21 @@ impl Cpu {
     /// [`Cpu::SMALL_LEN`] bytes of `bytes` (the format
     /// [`Cpu::serialize_small`] writes). Returns `None` if `bytes` is too
     /// short.
+    #[expect(
+        clippy::expect_used,
+        reason = "the SMALL_LEN check on entry covers every fixed-size window"
+    )]
     pub(crate) fn deserialize_small(&mut self, bytes: &[u8]) -> Option<()> {
         if bytes.len() < Self::SMALL_LEN {
             return None;
         }
         let mut pos = 0;
         for r in &mut self.regs {
-            // detlint: allow(panic_path) -- SMALL_LEN checked on entry covers every window
             *r = u16::from_le_bytes(bytes[pos..pos + 2].try_into().expect("len 2"));
             pos += 2;
         }
-        // detlint: allow(panic_path) -- SMALL_LEN checked on entry covers every window
         self.pc = u16::from_le_bytes(bytes[pos..pos + 2].try_into().expect("len 2"));
         pos += 2;
-        // detlint: allow(panic_path) -- SMALL_LEN checked on entry covers every window
         self.sp = u16::from_le_bytes(bytes[pos..pos + 2].try_into().expect("len 2"));
         pos += 2;
         let f = bytes[pos];
@@ -431,7 +444,6 @@ impl Cpu {
         self.flag_c = f & 4 != 0;
         self.halted = f & 8 != 0;
         self.faulted = f & 16 != 0;
-        // detlint: allow(panic_path) -- SMALL_LEN checked on entry covers every window
         self.lcg = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len 4"));
         Some(())
     }

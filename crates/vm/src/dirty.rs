@@ -14,6 +14,16 @@
 //! freshly constructed devices and machines with no tracking at all can
 //! participate in the same API at full-copy cost.
 
+// Frame-path code: a panic here stops a replica mid-session.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// Size of one dirty-tracking page, in bytes.
 ///
 /// 256 bytes keeps the bitmap for the whole 84 KiB console image at
@@ -43,7 +53,6 @@ impl DirtyPages {
     /// Creates an all-clean bitmap tracking `len` bytes.
     pub fn new(len: usize) -> DirtyPages {
         DirtyPages {
-            // detlint: allow(hot_alloc) -- constructor; steady state reuses via reset()
             words: vec![0u64; len.div_ceil(PAGE_SIZE).div_ceil(64)],
             len,
             all: false,
@@ -54,7 +63,6 @@ impl DirtyPages {
     /// bytes. Allocation-free.
     pub fn all_dirty(len: usize) -> DirtyPages {
         DirtyPages {
-            // detlint: allow(hot_alloc) -- empty Vec, no heap allocation happens
             words: Vec::new(),
             len,
             all: true,

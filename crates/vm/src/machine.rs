@@ -351,24 +351,28 @@ impl<M: Machine + ?Sized> Machine for Box<M> {
 
 /// A trivial [`Machine`] for tests and examples: its state is a counter and
 /// a running hash of every input it has consumed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NullMachine {
     frame: u64,
     digest: u64,
-    fb: Option<FrameBuffer>,
+    /// A blank 8x8 buffer; NullMachine never draws.
+    fb: FrameBuffer,
 }
 
 impl NullMachine {
     /// Creates a fresh machine.
     pub fn new() -> NullMachine {
-        NullMachine::default()
+        NullMachine {
+            frame: 0,
+            digest: 0,
+            fb: FrameBuffer::new(8, 8),
+        }
     }
+}
 
-    fn fb(&self) -> &FrameBuffer {
-        // Lazily materialized 8x8 buffer; NullMachine never draws.
-        self.fb
-            .as_ref()
-            .expect("framebuffer initialized on first step")
+impl Default for NullMachine {
+    fn default() -> NullMachine {
+        NullMachine::new()
     }
 }
 
@@ -383,9 +387,6 @@ impl Machine for NullMachine {
     }
 
     fn step_frame(&mut self, input: InputWord) {
-        if self.fb.is_none() {
-            self.fb = Some(FrameBuffer::new(8, 8));
-        }
         let mut h = crate::hash::StateHasher::new();
         h.write_u64(self.digest);
         h.write(&input.0.to_le_bytes());
@@ -398,13 +399,7 @@ impl Machine for NullMachine {
     }
 
     fn framebuffer(&self) -> &FrameBuffer {
-        if self.fb.is_none() {
-            // A reset machine that never stepped still owes a framebuffer.
-            // detlint: allow(static_state) -- write-once blank buffer, identical on every replica
-            static EMPTY: std::sync::OnceLock<FrameBuffer> = std::sync::OnceLock::new();
-            return EMPTY.get_or_init(|| FrameBuffer::new(8, 8));
-        }
-        self.fb()
+        &self.fb
     }
 
     fn state_hash(&self) -> u64 {

@@ -60,6 +60,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout)]
 
 pub use coplay_clock as clock;
 pub use coplay_games as games;
