@@ -32,21 +32,15 @@
     clippy::unimplemented
 )]
 
-use std::collections::BTreeMap;
-
 use coplay_clock::SimTime;
 use coplay_telemetry::{EventKind, SpanStage};
-use coplay_vm::{DirtyPages, InputWord, Machine};
+use coplay_vm::{DirtyPages, InputWord, Machine, Player};
 
 use crate::config::{ConsistencyMode, SyncConfig};
 use crate::error::SyncError;
 use crate::predict::{InputPredictor, RepeatLast};
 use crate::snapshot::SnapshotRing;
 use crate::sync_input::InputSync;
-
-/// Cap on confirmed-hash entries retained when the caller never drains
-/// [`Session::drain_confirmed`](crate::Session::drain_confirmed).
-const MAX_RETAINED_HASHES: usize = 4096;
 
 /// A session's consistency policy: its speculation window and the state
 /// that makes speculating safe.
@@ -93,25 +87,22 @@ impl<P: InputPredictor> Consistency for Speculative<P> {
 pub struct Speculative<P = RepeatLast> {
     pub(crate) max_rollback_frames: u64,
     predictor: P,
+    /// W + 2 checkpoints, W the window. The one before frame `f + 1` is
+    /// taken right after `f` executes, so its hash is `f`'s confirmed hash.
     pub(crate) ring: SnapshotRing,
     /// Reusable dirty bitmap for rollback: drained from the machine and
     /// unioned with popped checkpoints' bitmaps to bound the restore.
     rollback_dirty: DirtyPages,
     /// Reusable restore buffer for checkpoint reconstruction.
     restore_buf: Vec<u8>,
-    /// Predicted partials actually fed to the machine, per speculated frame
-    /// per remote site — the comparison base for misprediction detection.
-    used: BTreeMap<u64, BTreeMap<u8, InputWord>>,
-    /// State hash after each executed frame, kept until confirmed.
-    recent_hashes: BTreeMap<u64, u64>,
+    /// Predicted partials fed to frame `f`, per remote site, kept at
+    /// `f % (W + 2)`: the comparison base for misprediction detection. A
+    /// frame the frontier has not passed is at most W behind the pointer,
+    /// so its entry is still its own.
+    predicted: Vec<[Option<InputWord>; Player::MAX]>,
     /// First mispredicted frame discovered while draining the transport;
     /// repaired by the next rewind.
     pending_rollback: Option<u64>,
-    /// `(frame, hash)` of the live state before `frame`: the hash `step`
-    /// took after `frame - 1`, which the checkpoint before `frame` reuses
-    /// instead of hashing the state again. A rewind needs no such pair:
-    /// the checkpoint it restores stays in the ring.
-    known_hash: Option<(u64, u64)>,
     /// Next frame eligible for confirmation: frames below were already
     /// drained and must not be re-reported when a rollback resimulates
     /// through them.
@@ -128,41 +119,36 @@ impl<P: InputPredictor> Speculative<P> {
         else {
             return Speculative::new(ConsistencyMode::rollback(), predictor);
         };
+        let len = SnapshotRing::capacity_for(max_rollback_frames, 1);
         Speculative {
             max_rollback_frames,
             predictor,
-            ring: SnapshotRing::new(SnapshotRing::capacity_for(max_rollback_frames, 1)),
+            ring: SnapshotRing::new(len),
             rollback_dirty: DirtyPages::default(),
             restore_buf: Vec::new(),
-            used: BTreeMap::new(),
-            recent_hashes: BTreeMap::new(),
+            predicted: vec![[None; Player::MAX]; len],
             pending_rollback: None,
-            known_hash: None,
             confirm_next: 0,
         }
     }
 
-    /// Saves a checkpoint before `frame` and publishes what it cost. The
-    /// state is hashed only when no known hash covers it: before frame 0
-    /// or after a snapshot join.
-    fn checkpoint<M: Machine>(
+    /// The predictions `frame` ran on, per site.
+    fn predicted_at(&mut self, frame: u64) -> &mut [Option<InputWord>; Player::MAX] {
+        let len = self.predicted.len();
+        &mut self.predicted[(frame % len as u64) as usize]
+    }
+
+    /// Saves the checkpoint before `frame`, whose state hashes to `hash`,
+    /// and publishes what it cost. The session takes it right after
+    /// executing `frame - 1`, with the hash that step took.
+    pub(crate) fn checkpoint<M: Machine>(
         &mut self,
         frame: u64,
+        hash: u64,
         machine: &mut M,
         cfg: &SyncConfig,
         now: SimTime,
     ) {
-        let hash = match self.known_hash.take() {
-            Some((known, hash)) if known == frame => {
-                debug_assert_eq!(
-                    hash,
-                    machine.state_hash(),
-                    "stale hash before frame {frame}"
-                );
-                hash
-            }
-            _ => machine.state_hash(),
-        };
         let report = self.ring.checkpoint_from(frame, hash, machine);
         let telemetry = &cfg.telemetry;
         telemetry.record(
@@ -179,10 +165,11 @@ impl<P: InputPredictor> Speculative<P> {
         telemetry.observe("dirty_pages_per_frame", report.dirty_pages as u64);
     }
 
-    /// Checkpoints the state before `frame` unless the ring already holds
-    /// it (the first frame a repair replays), then returns `frame`'s input:
-    /// authoritative partials where the frontier covers them, predictions
-    /// elsewhere. `live` is `false` while a repair resimulates the frame.
+    /// Returns `frame`'s input: authoritative partials where the frontier
+    /// covers them, predictions elsewhere. Before a site's first frame
+    /// (frame 0, or a snapshot join's frame) no step has left a
+    /// checkpoint, so this one hashes the state and takes it. `live` is
+    /// `false` while a repair resimulates the frame.
     pub(crate) fn prepare<M: Machine>(
         &mut self,
         frame: u64,
@@ -192,11 +179,12 @@ impl<P: InputPredictor> Speculative<P> {
         now: SimTime,
         live: bool,
     ) -> InputWord {
-        if self.ring.newest_frame().is_none_or(|n| n < frame) {
-            self.checkpoint(frame, machine, cfg, now);
+        if self.ring.is_empty() {
+            let hash = machine.state_hash();
+            self.checkpoint(frame, hash, machine, cfg, now);
         }
         let mut word = sync.merged_input(frame);
-        self.used.remove(&frame);
+        *self.predicted_at(frame) = [None; Player::MAX];
         for s in cfg.peers() {
             let last_rcv = sync.last_rcv(s).unwrap_or(0);
             if frame <= last_rcv {
@@ -209,7 +197,7 @@ impl<P: InputPredictor> Speculative<P> {
                 .then(|| sync.authoritative_partial(last_rcv, s));
             let guess = self.predictor.predict(s, frame, last);
             let masked = cfg.port_map.partial_input(s, guess);
-            self.used.entry(frame).or_default().insert(s, masked);
+            self.predicted_at(frame)[usize::from(s)] = Some(masked);
             if live {
                 cfg.telemetry.counter_add("predicted_frames_total", 1);
                 cfg.telemetry.span(now, SpanStage::Predicted, frame, s);
@@ -217,16 +205,6 @@ impl<P: InputPredictor> Speculative<P> {
             word = word.merged(masked);
         }
         word
-    }
-
-    /// Keeps the state hash after `frame` until the frontier confirms it,
-    /// and for the checkpoint before `frame + 1`.
-    pub(crate) fn note_hash(&mut self, frame: u64, hash: u64) {
-        self.known_hash = Some((frame + 1, hash));
-        self.recent_hashes.insert(frame, hash);
-        while self.recent_hashes.len() > MAX_RETAINED_HASHES {
-            self.recent_hashes.pop_first();
-        }
     }
 
     /// Compares the predictions used for frames newly covered by `sender`'s
@@ -246,18 +224,11 @@ impl<P: InputPredictor> Speculative<P> {
             if g >= pointer {
                 break; // not executed yet: nothing was predicted
             }
-            let mut emptied = false;
-            let mut mispredicted = false;
-            if let Some(per_site) = self.used.get_mut(&g) {
-                if let Some(predicted) = per_site.remove(&sender) {
-                    mispredicted = predicted != sync.authoritative_partial(g, sender);
-                }
-                emptied = per_site.is_empty();
-            }
-            if emptied {
-                self.used.remove(&g);
-            }
-            if mispredicted {
+            let predicted = self
+                .predicted_at(g)
+                .get_mut(usize::from(sender))
+                .and_then(Option::take);
+            if predicted.is_some_and(|p| p != sync.authoritative_partial(g, sender)) {
                 cfg.telemetry.record(
                     now,
                     EventKind::InputMispredicted {
@@ -273,8 +244,9 @@ impl<P: InputPredictor> Speculative<P> {
 
     /// Restores the checkpoint before the queued mispredicted frame, if
     /// any, and returns the frame it precedes: the mispredicted frame
-    /// itself, since every executed frame has a checkpoint. The session
-    /// resimulates from it up to `pointer`.
+    /// itself, since every executed frame left a checkpoint. The session
+    /// resimulates from it up to `pointer`, checkpointing again after each
+    /// replayed frame.
     ///
     /// One O(dirty) pass: discard the checkpoints computed from the
     /// mispredicted state (they must not serve as restore points again),
@@ -319,11 +291,12 @@ impl<P: InputPredictor> Speculative<P> {
 
     /// Rebuilds into `out` the newest checkpoint at or below the confirmed
     /// frontier + 1, and never above a queued repair: every input before it
-    /// is authoritative and was executed as such. Every executed frame has
-    /// a checkpoint, so once the site has executed frontier + 1 that is
-    /// the frame served. Returns its frame, or
-    /// `None` before the first checkpoint, while the live state is still
-    /// authoritative. `capacity_for` keeps such a checkpoint in the ring.
+    /// is authoritative and was executed as such. The ring holds the
+    /// checkpoint before every retained frame up to the pointer, so that
+    /// is frontier + 1 itself once the site has executed the frontier.
+    /// Returns its frame, or `None` before the first checkpoint, while the
+    /// live state is still authoritative. `capacity_for` keeps such a
+    /// checkpoint in the ring.
     pub(crate) fn restore_confirmed(
         &self,
         sync: &InputSync,
@@ -343,7 +316,10 @@ impl<P: InputPredictor> Speculative<P> {
     }
 
     /// Drains the hashes of frames every site's input arrived for, whose
-    /// mispredictions were repaired, and that no rollback can revisit.
+    /// mispredictions were repaired, and that no rollback can revisit:
+    /// the hash after frame `f` is the checkpoint's before `f + 1`. See
+    /// [`Session::drain_confirmed`](crate::Session::drain_confirmed) for
+    /// why draining after every tick loses none.
     pub(crate) fn drain_confirmed(
         &mut self,
         sync: &InputSync,
@@ -351,24 +327,22 @@ impl<P: InputPredictor> Speculative<P> {
         at: SimTime,
         out: &mut Vec<(u64, u64)>,
     ) {
-        let pointer = sync.pointer();
-        if pointer == 0 {
+        let Some(oldest) = self.ring.oldest_frame() else {
             return;
-        }
-        let limit = sync.authoritative_frontier().min(pointer - 1);
-        while let Some(entry) = self.recent_hashes.first_entry() {
-            if *entry.key() > limit {
+        };
+        let limit = sync
+            .authoritative_frontier()
+            .min(sync.pointer().saturating_sub(1));
+        // A rollback may resimulate through already-confirmed frames;
+        // `confirm_next` reports each once.
+        for frame in self.confirm_next.max(oldest)..=limit {
+            let Some(hash) = self.ring.hash_before(frame + 1) else {
                 break;
-            }
-            let (frame, hash) = entry.remove_entry();
-            // A rollback may resimulate through already-confirmed frames
-            // and re-insert their (identical) hashes; report each once.
-            if frame >= self.confirm_next {
-                cfg.telemetry
-                    .span(at, SpanStage::Confirmed, frame, cfg.my_site);
-                out.push((frame, hash));
-                self.confirm_next = frame + 1;
-            }
+            };
+            cfg.telemetry
+                .span(at, SpanStage::Confirmed, frame, cfg.my_site);
+            out.push((frame, hash));
+            self.confirm_next = frame + 1;
         }
     }
 }

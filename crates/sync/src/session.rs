@@ -245,7 +245,9 @@ impl<M: Machine, T: Transport, S: InputSource, P: InputPredictor> Session<M, T, 
     }
 
     /// Drains the per-frame state hashes that have become authoritative;
-    /// see [`Session::drain_confirmed`].
+    /// see [`Session::drain_confirmed`]. Call after every tick and pump:
+    /// the checkpoint ring keeps only the last `max_rollback_frames + 2`
+    /// hashes.
     pub fn take_confirmed(&mut self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         self.drain_confirmed(None, &mut out);
@@ -335,8 +337,12 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
     /// was repaired, and no rollback can revisit it — in frame order.
     /// `executed` is the report of the latest tick, if it ran a frame: a
     /// lockstep site confirms that frame as it executes it, a speculative
-    /// site once its frontier passes it. Call after every tick to see each
-    /// confirmed frame exactly once.
+    /// site once its frontier passes it, from its checkpoint ring. Call
+    /// after every tick and pump to see each confirmed frame exactly once.
+    /// The ring keeps the last `max_rollback_frames + 2` hashes, and a tick
+    /// runs at most one new frame, at most that window past the frontier:
+    /// it evicts only a hash the previous drain could report. A frame
+    /// evicted undrained is skipped.
     pub fn drain_confirmed(&mut self, executed: Option<&FrameReport>, out: &mut Vec<(u64, u64)>) {
         match self.policy.speculative() {
             Some(spec) => spec.drain_confirmed(&self.sync, &self.cfg, self.last_tick_at, out),
@@ -620,9 +626,9 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         Step::FrameDone { report, next_wake }
     }
 
-    /// Executes `frame` and hashes the result once: the report, the
-    /// confirmed hashes, a repair and the checkpoint before the next frame
-    /// all reuse that hash. `mode` is
+    /// Executes `frame` and hashes the result once: the report and, on a
+    /// speculative site, the checkpoint before the next frame (which holds
+    /// the confirmed hash) reuse that hash. `mode` is
     /// `Headless` for repair frames whose output will never be presented.
     fn step(&mut self, frame: u64, now: SimTime, mode: StepMode, live: bool) -> (InputWord, u64) {
         let input = match self.policy.speculative() {
@@ -632,7 +638,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         self.machine.step_frame_mode(input, mode);
         let hash = self.machine.state_hash();
         if let Some(spec) = self.policy.speculative() {
-            spec.note_hash(frame, hash);
+            spec.checkpoint(frame + 1, hash, &mut self.machine, &self.cfg, now);
         }
         (input, hash)
     }
@@ -863,12 +869,18 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                         *buf = vec![0; total];
                         *received = vec![false; total.div_ceil(MAX_CHUNK_BYTES)];
                     }
+                    // Only a whole chunk fills its slot: a short one would
+                    // mark bytes received that never arrived.
                     let offset = offset as usize;
-                    if let Some(dst) = buf.get_mut(offset..offset + bytes.len()) {
+                    let whole = offset.is_multiple_of(MAX_CHUNK_BYTES)
+                        && bytes.len() == total.saturating_sub(offset).min(MAX_CHUNK_BYTES);
+                    if let (true, Some(dst), Some(slot)) = (
+                        whole,
+                        buf.get_mut(offset..offset + bytes.len()),
+                        received.get_mut(offset / MAX_CHUNK_BYTES),
+                    ) {
                         dst.copy_from_slice(&bytes);
-                        if let Some(slot) = received.get_mut(offset / MAX_CHUNK_BYTES) {
-                            *slot = true;
-                        }
+                        *slot = true;
                     }
                 }
             }
@@ -1275,8 +1287,9 @@ mod tests {
         }
     }
 
-    /// Handshakes the pair, then ticks only site 0 while site 1 stays
-    /// silent; returns how far site 0 ran past its confirmed frontier.
+    /// Handshakes the pair, then ticks only site 0, draining what it
+    /// confirms after every tick, while site 1 stays silent; returns how
+    /// far site 0 ran past its confirmed frontier.
     fn lead_over_silent_peer<C: Consistency>(sites: &mut [Sess<C>; 2]) -> u64 {
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
@@ -1286,12 +1299,18 @@ mod tests {
             now += SimDuration::from_millis(5);
         }
         let a = &mut sites[0];
-        let mut waits = 0;
+        let (mut waits, mut confirmed) = (0, Vec::new());
         for _ in 0..5_000 {
             now += SimDuration::from_millis(2);
-            if let Step::Wait(_) = a.tick(now).unwrap() {
-                waits += 1;
-            }
+            let executed = match a.tick(now).unwrap() {
+                Step::FrameDone { report, .. } => Some(report),
+                Step::Wait(_) => {
+                    waits += 1;
+                    None
+                }
+                Step::Stopped(r) => panic!("unexpected stop: {r}"),
+            };
+            a.drain_confirmed(executed.as_ref(), &mut confirmed);
         }
         assert!(waits > 4_000, "blocked, waiting for the silent peer");
         assert_eq!(a.stats().rollbacks, 0, "no input, no rollback");
@@ -1317,9 +1336,14 @@ mod tests {
             (1..=31).contains(&st.max_rollback_depth),
             "window bounds depth"
         );
-        let common = ca.len().min(cb.len());
-        assert!(common >= 100);
-        assert_eq!(ca[..common], cb[..common], "post-rollback hashes agree");
+        // Site 0 drained its first frames while site 1 was silent, so the
+        // two lists start at different frames.
+        let theirs: BTreeMap<u64, u64> = cb.into_iter().collect();
+        let common: Vec<_> = ca.iter().filter(|(f, _)| theirs.contains_key(f)).collect();
+        assert!(common.len() >= 100, "{} common frames", common.len());
+        for (f, h) in common {
+            assert_eq!(theirs[f], *h, "post-rollback hashes agree at frame {f}");
+        }
     }
 
     /// Says Hello to `a` as player 1 over the raw endpoint `tb`, so the
@@ -1409,11 +1433,11 @@ mod tests {
     fn only_speculation_checkpoints() {
         let mut sites = rollback_pair();
         let _ = run_pair(&mut sites, 60);
-        // A checkpoint before every executed frame: the ring (capacity
-        // window + 2) holds the newest 32 frames, contiguous up to the last
-        // one executed.
+        // A checkpoint after every executed frame: the ring (capacity
+        // window + 2) holds the newest 32, contiguous up to the one before
+        // the next frame.
         let ring = &sites[0].policy.ring;
-        let newest = sites[0].sync().pointer() - 1;
+        let newest = sites[0].sync().pointer();
         assert_eq!(ring.len(), 30 + 2);
         assert_eq!(ring.newest_frame(), Some(newest));
         assert_eq!(ring.oldest_frame(), Some(newest - 31));
@@ -1547,12 +1571,10 @@ mod tests {
         }
     }
 
-    /// The hash budget of a speculative site. The checkpoint before a
-    /// frame reuses the hash taken after the frame before it, so only the
-    /// ROM identity, the checkpoint before frame 0, every stepped frame and
-    /// every restore verification hash the state. A debug build's re-check
-    /// of each reused hash calls `state_hash` just where a re-hash would,
-    /// so only a release build tells the two apart.
+    /// The hash budget of a speculative site. The checkpoint after a
+    /// frame reuses the hash its step took, so only the ROM identity, the
+    /// checkpoint before frame 0, every stepped frame and every restore
+    /// verification hash the state.
     #[test]
     fn checkpoints_reuse_the_step_hash() {
         let clock = VirtualClock::new();
@@ -1580,16 +1602,7 @@ mod tests {
             let st = s.stats();
             assert!(st.rollbacks > 0, "a lossy 200 ms link must mispredict");
             let budget = 1 + 1 + st.frames + st.resimulated_frames + st.rollbacks;
-            // A debug build re-checks every reused hash against a fresh
-            // one: every checkpoint but frame 0's, and a checkpoint
-            // precedes each stepped frame but the first one a repair
-            // replays.
-            let rechecks = if cfg!(debug_assertions) {
-                st.frames + st.resimulated_frames - st.rollbacks - 1
-            } else {
-                0
-            };
-            assert_eq!(s.machine().hashes.get(), budget + rechecks);
+            assert_eq!(s.machine().hashes.get(), budget);
         }
     }
 
@@ -1641,11 +1654,10 @@ mod tests {
         assert_eq!(state, replay.save_state(), "served state is authoritative");
     }
 
-    /// A chunk announcing a snapshot larger than `MAX_SNAPSHOT_BYTES`
-    /// is dropped before the latecomer sizes anything to it, and the real
-    /// snapshot still completes the join.
-    #[test]
-    fn latecomer_ignores_an_oversized_snapshot_chunk() {
+    /// A lockstep site 1 told to join at frame 5, after it requested its
+    /// snapshot from site 0, whose endpoint is returned with the state the
+    /// host would serve.
+    fn latecomer_awaiting_frame_5() -> (Sess<Lockstep, Idle>, LoopbackTransport, NullMachine) {
         let (mut ta, tb) = loopback(PeerId(0), PeerId(1));
         let mut b = LockstepSession::new(SyncConfig::two_player(1), NullMachine::new(), tb, Idle);
         let _ = b.tick(SimTime::ZERO).unwrap(); // greets site 0
@@ -1655,6 +1667,44 @@ mod tests {
         };
         ta.send(PeerId(1), &ack.encode()).unwrap();
         let _ = b.tick(SimTime::from_millis(1)).unwrap(); // requests the snapshot
+        let mut host = NullMachine::new();
+        for _ in 0..5 {
+            host.step_frame(InputWord::NONE);
+        }
+        (b, ta, host)
+    }
+
+    /// A chunk shorter than its slot fills none of it: a latecomer sent
+    /// only the first 8 bytes of a 16-byte snapshot waits for the rest.
+    #[test]
+    fn latecomer_does_not_join_on_a_short_snapshot_chunk() {
+        let (mut b, mut ta, host) = latecomer_awaiting_frame_5();
+        let state = host.save_state();
+        assert_eq!(state.len(), 16);
+        let chunk = |bytes: &[u8]| Message::SnapshotChunk {
+            frame: 5,
+            offset: 0,
+            total: state.len() as u32,
+            bytes: bytes.to_vec(),
+        };
+        ta.send(PeerId(1), &chunk(&state[..8]).encode()).unwrap();
+        let _ = b.tick(SimTime::from_millis(2)).unwrap();
+        assert!(
+            matches!(b.phase, Phase::AwaitSnapshot { .. }),
+            "joined on half a snapshot"
+        );
+        ta.send(PeerId(1), &chunk(&state).encode()).unwrap();
+        let _ = b.tick(SimTime::from_millis(3)).unwrap();
+        assert_eq!(b.frame(), 5);
+        assert_eq!(b.machine().state_hash(), host.state_hash());
+    }
+
+    /// A chunk announcing a snapshot larger than `MAX_SNAPSHOT_BYTES`
+    /// is dropped before the latecomer sizes anything to it, and the real
+    /// snapshot still completes the join.
+    #[test]
+    fn latecomer_ignores_an_oversized_snapshot_chunk() {
+        let (mut b, mut ta, host) = latecomer_awaiting_frame_5();
         let chunk = |total, bytes: Vec<u8>| Message::SnapshotChunk {
             frame: 5,
             offset: 0,
@@ -1669,10 +1719,6 @@ mod tests {
         };
         assert_eq!((*total, buf.capacity()), (0, 0), "nothing sized to it");
 
-        let mut host = NullMachine::new();
-        for _ in 0..5 {
-            host.step_frame(InputWord::NONE);
-        }
         let state = host.save_state();
         ta.send(PeerId(1), &chunk(state.len() as u32, state).encode())
             .unwrap();
@@ -1687,20 +1733,7 @@ mod tests {
     #[test]
     fn latecomer_assembles_chunks_only_from_the_site_it_asked() {
         let join = |stray: Option<Message>| {
-            let (mut ta, tb) = loopback(PeerId(0), PeerId(1));
-            let mut b =
-                LockstepSession::new(SyncConfig::two_player(1), NullMachine::new(), tb, Idle);
-            let _ = b.tick(SimTime::ZERO).unwrap(); // greets site 0
-            let ack = Message::HelloAck {
-                rom_hash: NullMachine::new().state_hash(),
-                start_frame: 5,
-            };
-            ta.send(PeerId(1), &ack.encode()).unwrap();
-            let _ = b.tick(SimTime::from_millis(1)).unwrap(); // requests the snapshot
-            let mut host = NullMachine::new();
-            for _ in 0..5 {
-                host.step_frame(InputWord::NONE);
-            }
+            let (mut b, mut ta, host) = latecomer_awaiting_frame_5();
             // Two chunks: the host's state padded past one chunk's length.
             let mut state = host.save_state();
             state.resize(MAX_CHUNK_BYTES + 16, 0);

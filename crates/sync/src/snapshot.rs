@@ -400,6 +400,13 @@ impl SnapshotRing {
         self.len == 0
     }
 
+    /// State hash of the checkpoint taken before `frame`, if the ring
+    /// retains one for exactly that frame.
+    pub fn hash_before(&self, frame: u64) -> Option<u64> {
+        let slot = self.slot(self.floor_index(frame)?);
+        (slot.frame == frame).then_some(slot.hash)
+    }
+
     /// Frame of the newest retained checkpoint.
     pub fn newest_frame(&self) -> Option<u64> {
         self.len.checked_sub(1).map(|i| self.slot(i).frame)

@@ -46,7 +46,8 @@ pub const OBSERVER_SITE: u8 = 0xFE;
 
 /// Frames of input history every site retains past full acknowledgement,
 /// so latecomers can be served without unbounded memory (extension; the
-/// ICDCS algorithm assumes an unlimited buffer).
+/// ICDCS algorithm assumes an unlimited buffer). An observer whose acks
+/// lag further than this is dropped.
 pub const RETAIN_FRAMES: u64 = 128;
 
 /// What the slave knows about the master's progress, for Algorithm 4.
@@ -281,6 +282,14 @@ impl InputSync {
     /// later rollback needs).
     pub fn advance(&mut self) {
         self.pointer += 1;
+        let retain_floor = self.pointer.saturating_sub(RETAIN_FRAMES);
+        // An observer whose acks lag more than the retention window is
+        // taken to have crashed without `Bye`: stop sending to it rather
+        // than hold every frame since its last ack. A player stays,
+        // because nothing may run without its input.
+        let num_sites = self.cfg.num_sites;
+        self.peers
+            .retain(|&site, p| site < num_sites || p.last_ack + 1 >= retain_floor);
         // Frames both delivered and universally acked can be dropped —
         // except for a bounded retention window kept for latecomer joins.
         let min_needed = self
@@ -290,7 +299,6 @@ impl InputSync {
             .min()
             .unwrap_or(self.pointer)
             .min(self.pointer);
-        let retain_floor = self.pointer.saturating_sub(RETAIN_FRAMES);
         self.buf.prune_below(min_needed.min(retain_floor));
     }
 
@@ -332,76 +340,58 @@ impl InputSync {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let my_site = self.cfg.my_site;
-        let my_last = self.my_last_buffered;
-        // Collect (site, ack, first..=last) first; building payloads needs &self.buf.
-        let plans: Vec<(u8, u64, u64, u64)> = self
-            .peers
-            .iter()
-            .filter_map(|(&site, p)| {
-                let first = p.last_ack + 1;
-                let has_inputs = self.is_player() && my_last >= first;
-                if !has_inputs && !p.need_ack {
-                    return None;
-                }
-                let ack = if site < self.cfg.num_sites {
-                    p.last_rcv
-                } else {
-                    // Observers send nothing; ack what we've delivered.
-                    self.pointer.max(1) - 1
-                };
-                let last = if has_inputs {
-                    my_last.min(first + MAX_PAYLOAD_FRAMES as u64 - 1)
-                } else {
-                    first - 1 // empty payload (pure ack)
-                };
-                Some((site, ack, first, last))
-            })
-            .collect();
-        for (site, ack, first, last) in plans {
-            let inputs = if last >= first {
-                self.buf.partial_range(my_site, first..=last)
+        let is_player = self.is_player();
+        let (cfg, buf, my_last) = (&self.cfg, &self.buf, self.my_last_buffered);
+        for (&site, p) in &mut self.peers {
+            let first = p.last_ack + 1;
+            let has_inputs = is_player && my_last >= first;
+            if !has_inputs && !p.need_ack {
+                continue;
+            }
+            p.need_ack = false;
+            let ack = if site < cfg.num_sites {
+                p.last_rcv
             } else {
-                Vec::new()
+                // Observers send nothing; ack what we've delivered.
+                self.pointer.max(1) - 1
             };
-            let count = inputs.len() as u32;
+            let mut inputs = Vec::new();
+            let mut retransmitted = 0u32;
+            if has_inputs {
+                let last = my_last.min(first + MAX_PAYLOAD_FRAMES as u64 - 1);
+                inputs = buf.partial_range(cfg.my_site, first..=last);
+                if p.last_sent >= first {
+                    retransmitted = (p.last_sent.min(last) - first + 1) as u32;
+                }
+                // Span chain: frames past the previous send high-water
+                // mark leave this site for the first time. Retransmits
+                // get no span — the chain tracks first transmission.
+                if cfg.telemetry.is_tracing() {
+                    for f in p.last_sent.max(first - 1) + 1..=last {
+                        cfg.telemetry.span(now, SpanStage::Encoded, f, site);
+                        cfg.telemetry.span(now, SpanStage::Sent, f, site);
+                    }
+                }
+                p.last_sent = p.last_sent.max(last);
+            }
+            cfg.telemetry.record(
+                now,
+                EventKind::InputSent {
+                    to: site,
+                    first,
+                    count: inputs.len() as u32,
+                    retransmitted,
+                },
+            );
             out.push((
                 site,
                 InputMsg {
-                    from: my_site,
+                    from: cfg.my_site,
                     ack,
                     first,
                     inputs,
                 },
             ));
-            let mut retransmitted = 0u32;
-            if let Some(p) = self.peers.get_mut(&site) {
-                p.need_ack = false;
-                if last >= first {
-                    if p.last_sent >= first {
-                        retransmitted = (p.last_sent.min(last) - first + 1) as u32;
-                    }
-                    // Span chain: frames past the previous send high-water
-                    // mark leave this site for the first time. Retransmits
-                    // get no span — the chain tracks first transmission.
-                    if self.cfg.telemetry.is_tracing() {
-                        for f in p.last_sent.max(first - 1) + 1..=last {
-                            self.cfg.telemetry.span(now, SpanStage::Encoded, f, site);
-                            self.cfg.telemetry.span(now, SpanStage::Sent, f, site);
-                        }
-                    }
-                    p.last_sent = p.last_sent.max(last);
-                }
-            }
-            self.cfg.telemetry.record(
-                now,
-                EventKind::InputSent {
-                    to: site,
-                    first,
-                    count,
-                    retransmitted,
-                },
-            );
         }
         if !out.is_empty() {
             self.next_send = now + self.cfg.send_interval;
@@ -836,6 +826,53 @@ mod tests {
                 assert_eq!(wo, InputWord(0x2211));
             }
         }
+    }
+
+    #[test]
+    fn a_silent_observer_is_dropped_after_the_retention_window() {
+        // Two players and two observers: `live` receives and acks, the
+        // other crashed at frame 0 without a `Bye` and never acks.
+        const DEAD: u8 = OBSERVER_SITE - 1;
+        let (mut a, mut b) = pair();
+        let mut cfg_o = SyncConfig::two_player(0);
+        cfg_o.my_site = OBSERVER_SITE;
+        let mut live = InputSync::new(cfg_o);
+        for p in [&mut a, &mut b] {
+            p.add_peer(OBSERVER_SITE, 0);
+            p.add_peer(DEAD, 0);
+        }
+        let (mut to_dead, mut max_buffered) = (0, 0);
+        for f in 0..5_000u64 {
+            let t = SimTime::from_millis(f * 25);
+            a.begin_frame(f, InputWord(1), t);
+            b.begin_frame(f, InputWord(0x0100), t);
+            live.begin_frame(f, InputWord::NONE, t);
+            let mut msgs = a.outgoing(t);
+            msgs.extend(b.outgoing(t));
+            msgs.extend(live.outgoing(t));
+            for (dst, m) in msgs {
+                match dst {
+                    0 => a.on_message(&m, t),
+                    1 => b.on_message(&m, t),
+                    OBSERVER_SITE => live.on_message(&m, t),
+                    _ => {
+                        to_dead += 1;
+                        continue;
+                    }
+                };
+            }
+            assert_eq!(a.take(), b.take());
+            assert_eq!(live.take(), InputWord(if f < 6 { 0 } else { 0x0101 }));
+            max_buffered = max_buffered.max(a.buf.len());
+        }
+        for p in [&a, &b] {
+            assert_eq!(p.last_ack(DEAD), None, "the dead observer was dropped");
+            assert!(p.last_ack(OBSERVER_SITE).is_some(), "the live one stays");
+        }
+        // Each player sent to the dead observer until it fell a retention
+        // window behind, and held no more than that window of history.
+        assert!(to_dead <= 2 * (RETAIN_FRAMES + 2), "{to_dead} messages");
+        assert!(max_buffered as u64 <= RETAIN_FRAMES + 16, "{max_buffered}");
     }
 
     #[test]

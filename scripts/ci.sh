@@ -11,12 +11,6 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> checkpoint hash budget, release build"
-# A debug build re-checks every reused checkpoint hash with a fresh
-# state_hash, exactly where a re-hash would call it; only a release build
-# can tell that a checkpoint hashes the state again.
-cargo test -q --release -p coplay-sync --lib checkpoints_reuse_the_step_hash
-
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -14,7 +14,10 @@ use coplay::clock::{SimDuration, SimTime};
 use coplay::games::rom_pong_console;
 use coplay::net::{loopback, LoopbackTransport, PeerId, Transport, TransportError};
 use coplay::relay::{RelayConfig, RelayCore, RelayMessage, DEST_BROADCAST};
-use coplay::sync::{LockstepSession, RandomPresser, SnapshotRing, SyncConfig};
+use coplay::sync::{
+    Consistency, ConsistencyMode, LockstepSession, RandomPresser, RollbackSession, Session,
+    SnapshotRing, SyncConfig,
+};
 use coplay::vm::{Console, InputWord, Machine, Player, StepMode};
 
 thread_local! {
@@ -83,11 +86,22 @@ fn frame_paths_do_not_allocate() {
 
     assert_eq!(relay_fan_out_allocations(), 0, "relay, 1 000 forwards");
 
-    let (quiet_ticks, n) = lockstep_quiet_tick_allocations();
+    let (quiet_ticks, n) = quiet_tick_allocations(LockstepSession::new, ConsistencyMode::Lockstep);
     assert!(quiet_ticks > 10_000, "only {quiet_ticks} quiet ticks");
     assert_eq!(
         n, 0,
         "lockstep pair, {quiet_ticks} ticks without a datagram"
+    );
+
+    // A rollback pair keeps its hashes and predictions in fixed windows,
+    // so an undrained session stops allocating once its checkpoint slots
+    // have grown, as the ring's own window below does.
+    let (quiet_ticks, n) =
+        quiet_tick_allocations(RollbackSession::new, ConsistencyMode::rollback());
+    assert!(quiet_ticks > 10_000, "only {quiet_ticks} quiet ticks");
+    assert!(
+        n <= 50,
+        "{n} allocations in {quiet_ticks} rollback ticks without a datagram"
     );
 
     // Checkpoint capture reuses the ring's slots once each has grown to
@@ -154,11 +168,17 @@ impl Transport for CountingLink {
     }
 }
 
-/// Ticks a ROM Pong lockstep pair every millisecond of virtual time for
-/// 1 700 frames after a 100-frame warm-up. Returns how many ticks sent
-/// and received no datagram, and the allocations those ticks made.
-/// Receiving hands out an owned datagram, so only quiet ticks are counted.
-fn lockstep_quiet_tick_allocations() -> (u64, u64) {
+type Site<C> = Session<Console, CountingLink, RandomPresser, C>;
+
+/// Ticks a ROM Pong pair under policy `mode` every millisecond of virtual
+/// time for 1 700 frames after a 100-frame warm-up, draining nothing.
+/// Returns how many ticks sent and received no datagram, and the
+/// allocations those ticks made. Receiving hands out an owned datagram,
+/// so only quiet ticks are counted.
+fn quiet_tick_allocations<C: Consistency>(
+    new: fn(SyncConfig, Console, CountingLink, RandomPresser) -> Site<C>,
+    mode: ConsistencyMode,
+) -> (u64, u64) {
     let datagrams = Rc::new(Cell::new(0));
     let (a, b) = loopback(PeerId(0), PeerId(1));
     let mut sites = [(0, Player::ONE, a), (1, Player::TWO, b)].map(|(site, player, link)| {
@@ -167,24 +187,21 @@ fn lockstep_quiet_tick_allocations() -> (u64, u64) {
             datagrams: Rc::clone(&datagrams),
         };
         let input = RandomPresser::new(player, u64::from(site) + 1);
-        LockstepSession::new(
-            SyncConfig::two_player(site),
-            rom_pong_console(),
-            link,
-            input,
-        )
+        let cfg = SyncConfig {
+            consistency: mode,
+            ..SyncConfig::two_player(site)
+        };
+        new(cfg, rom_pong_console(), link, input)
     });
     let mut now = SimTime::ZERO;
     let (mut quiet_ticks, mut quiet_allocations) = (0, 0);
-    let mut run_to = |sites: &mut [LockstepSession<Console, CountingLink, RandomPresser>; 2],
-                      frame: u64,
-                      count: bool| {
+    let mut run_to = |sites: &mut [Site<C>; 2], frame: u64, count: bool| {
         while sites.iter().any(|s| s.frame() < frame) {
             now += SimDuration::from_millis(1);
             for site in sites.iter_mut() {
                 let before = datagrams.get();
                 let n = allocations_in(|| {
-                    site.tick(now).expect("lockstep tick");
+                    site.tick(now).expect("tick");
                 });
                 if count && datagrams.get() == before {
                     quiet_ticks += 1;
