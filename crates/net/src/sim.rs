@@ -233,11 +233,6 @@ impl SimNetwork {
         n
     }
 
-    /// Number of packets currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
     fn recv(&mut self, at: PeerId) -> Option<(PeerId, Vec<u8>)> {
         self.inboxes.get_mut(&at)?.pop_front()
     }
@@ -292,7 +287,6 @@ mod tests {
     fn delivery_waits_for_virtual_time() {
         let (clock, net, mut a, mut b) = setup(10);
         a.send(PeerId(1), b"x").unwrap();
-        assert_eq!(net.borrow().in_flight(), 1);
         assert!(b.try_recv().unwrap().is_none());
 
         clock.advance(SimDuration::from_millis(9));

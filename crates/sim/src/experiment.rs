@@ -2,27 +2,28 @@
 //! between them, and a LAN time server — all in deterministic virtual time.
 //!
 //! [`Experiment`] wires session sites over a [`SimNetwork`], runs the
-//! configured number of frames, and computes exactly the statistics of §4:
+//! configured number of frames on a [`Testbed`], and computes exactly the
+//! statistics of §4:
 //! Series 1 (per-site average frame time and average deviation — Figure 1)
 //! and Series 2 (average absolute inter-site frame-begin difference —
 //! Figure 2). Replica convergence is verified from per-frame state hashes,
 //! something the paper assumes but the harness proves on every run.
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use coplay_clock::{Clock, EventId, EventQueue, SimDuration, SimTime, TimeServer, VirtualClock};
+use coplay_clock::{SimDuration, SimTime};
 use coplay_games::GameId;
-use coplay_net::{JitterDistribution, NetemConfig, PeerId, SimNetwork, SimSocket, Transport};
+use coplay_net::{JitterDistribution, NetemConfig, PeerId, SimNetwork};
 use coplay_sync::{
-    Consistency, ConsistencyMode, FrameReport, LockstepSession, Message, RandomPresser,
-    RollbackSession, Session, SessionDriver, SessionStats, Step, SyncConfig, SyncError,
+    ConsistencyMode, LockstepSession, RandomPresser, RollbackSession, SessionStats, SyncConfig,
+    SyncError,
 };
 use coplay_telemetry::{EventKind, Telemetry};
-use coplay_vm::{Machine, Player};
+use coplay_vm::Player;
 
 use crate::metrics::{abs_mean, deltas_ms, SiteStats};
+use crate::testbed::{Site, Testbed};
 
 /// First observer site number (distinct from player sites 0–3).
 pub const FIRST_OBSERVER_SITE: u8 = 0xE0;
@@ -229,41 +230,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// One site's session under either consistency mode. Both speak the same
-/// wire protocol; the harness only needs a common driving surface.
-trait Site: SessionDriver<Machine = Box<dyn Machine>> {
-    fn drain_confirmed(&mut self, executed: Option<&FrameReport>, out: &mut Vec<(u64, u64)>);
-}
-
-impl<C: Consistency> Site for Session<Box<dyn Machine>, SimSocket, RandomPresser, C> {
-    fn drain_confirmed(&mut self, executed: Option<&FrameReport>, out: &mut Vec<(u64, u64)>) {
-        Session::drain_confirmed(self, executed, out);
-    }
-}
-
-/// Attaches the time server before the session's policy is erased.
-fn testbed_site<C: Consistency + 'static>(
-    session: Session<Box<dyn Machine>, SimSocket, RandomPresser, C>,
-) -> Box<dyn Site> {
-    Box::new(session.with_time_server(PeerId::TIME_SERVER))
-}
-
-struct SiteRunner {
-    site_no: u8,
-    session: Box<dyn Site>,
-    /// When the site starts running; it ignores ticks before this.
-    boot: SimTime,
-    pending_wake: Option<EventId>,
-    frames_done: u64,
-    /// Confirmed per-frame hashes, from `first_frame` on. A rollback
-    /// site's speculative hashes never enter the convergence check.
-    hashes: Vec<u64>,
-    /// Scratch for the confirmed `(frame, hash)` pairs of one tick.
-    confirmed: Vec<(u64, u64)>,
-    first_frame: u64,
-    failed: bool,
-}
-
 /// One configured run of the paper's testbed.
 #[derive(Debug)]
 pub struct Experiment {
@@ -284,8 +250,8 @@ impl Experiment {
     /// or the virtual-time budget is exceeded.
     pub fn run(&self) -> Result<ExperimentResult, SimError> {
         let cfg = &self.config;
-        let clock = VirtualClock::new();
-        let net = SimNetwork::shared(clock.clone());
+        let mut testbed = Testbed::default();
+        let net = Rc::clone(testbed.net());
 
         // Inter-site impairments (the Netem box).
         let impaired = NetemConfig::new()
@@ -322,8 +288,6 @@ impl Experiment {
                 7 + a as u64,
             );
         }
-        let mut server_sock = SimNetwork::socket(&net, PeerId::TIME_SERVER);
-        let mut time_server = TimeServer::new();
 
         let net_telemetry = if cfg.telemetry || cfg.trace {
             Telemetry::recording()
@@ -333,8 +297,6 @@ impl Experiment {
         net.borrow_mut().set_telemetry(net_telemetry.clone());
 
         // Build the sites.
-        let mut sites: Vec<SiteRunner> = Vec::new();
-        let mut wakes: EventQueue<usize> = EventQueue::new();
         for (idx, &site_no) in site_numbers.iter().enumerate() {
             let is_observer = site_no >= FIRST_OBSERVER_SITE;
             let mut sync_cfg = SyncConfig::two_player(0);
@@ -363,154 +325,40 @@ impl Experiment {
                 cfg.seed.wrapping_add(1 + site_no as u64),
             );
             let socket = SimNetwork::socket(&net, PeerId(site_no));
-            let session = if cfg.consistency.is_rollback() && !is_observer {
-                testbed_site(RollbackSession::new(sync_cfg, machine, socket, source))
+            // Boot times: everyone at 0 except a latecomer (the last site,
+            // an observer), which appears at its join time.
+            let boot = match cfg.latecomer_at {
+                Some(at) if idx + 1 == site_numbers.len() && is_observer => SimTime::ZERO + at,
+                _ => SimTime::ZERO,
+            };
+            if cfg.consistency.is_rollback() && !is_observer {
+                let session = RollbackSession::new(sync_cfg, machine, socket, source);
+                testbed.add(session.with_time_server(PeerId::TIME_SERVER), boot);
             } else {
-                testbed_site(LockstepSession::new(sync_cfg, machine, socket, source))
-            };
-            // Boot times: everyone at 0 except a latecomer, which appears
-            // at its join time.
-            let is_latecomer =
-                cfg.latecomer_at.is_some() && idx + 1 == site_numbers.len() && is_observer;
-            let boot = if is_latecomer {
-                SimTime::ZERO + cfg.latecomer_at.expect("latecomer checked")
-            } else {
-                SimTime::ZERO
-            };
-            let wake = wakes.schedule(boot, idx);
-            sites.push(SiteRunner {
-                site_no,
-                session,
-                boot,
-                pending_wake: Some(wake),
-                frames_done: 0,
-                hashes: Vec::new(),
-                confirmed: Vec::new(),
-                first_frame: 0,
-                failed: false,
-            });
-        }
-
-        // Virtual-time budget: generous multiple of the ideal runtime.
-        let tpf_us = 1_000_000u64 / cfg.cfps.max(1) as u64;
-        let budget = SimDuration::from_micros(cfg.frames * tpf_us * 30 + 120_000_000);
-
-        // Main event loop.
-        loop {
-            let all_done = sites
-                .iter()
-                .all(|s| s.frames_done >= cfg.frames || s.failed);
-            if all_done {
-                break;
-            }
-            let next_net = net.borrow_mut().next_delivery_time();
-            let next_wake = wakes.peek_time();
-            let t = match (next_net, next_wake) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return Err(SimError::Deadlock { at: clock.now() }),
-            };
-            if t.saturating_since(SimTime::ZERO) > budget {
-                return Err(SimError::TimeBudgetExceeded { budget });
-            }
-            clock.set(t.max(clock.now()));
-            let now = clock.now();
-
-            let delivered = net.borrow_mut().deliver_due(now);
-            if delivered > 0 {
-                // Drain the time server's inbox.
-                while let Some((_, data)) = server_sock.try_recv().expect("sim socket") {
-                    if let Ok(Message::TimeStamp { site, frame }) = Message::decode(&data) {
-                        time_server.record(site, frame, now);
-                    }
-                }
-                // Datagrams may unblock any site: tick them all.
-                for idx in 0..sites.len() {
-                    self.tick_site(&mut sites, idx, now, &mut wakes)?;
-                }
-            }
-            while let Some(at) = wakes.peek_time() {
-                if at > now {
-                    break;
-                }
-                let (_, idx) = wakes.pop().expect("peeked");
-                if sites[idx].pending_wake.is_some() {
-                    sites[idx].pending_wake = None;
-                    self.tick_site(&mut sites, idx, now, &mut wakes)?;
-                }
+                let session = LockstepSession::new(sync_cfg, machine, socket, source);
+                testbed.add(session.with_time_server(PeerId::TIME_SERVER), boot);
             }
         }
 
-        self.collect(sites, time_server, net, net_telemetry, clock.now())
-    }
-
-    fn tick_site(
-        &self,
-        sites: &mut [SiteRunner],
-        idx: usize,
-        now: SimTime,
-        wakes: &mut EventQueue<usize>,
-    ) -> Result<(), SimError> {
-        let target = self.config.frames;
-        let s = &mut sites[idx];
-        // A latecomer does not exist before it boots: a datagram delivery
-        // must not tick it (or cancel its boot wake).
-        if now < s.boot || s.failed || s.frames_done >= target.saturating_mul(2) {
-            return Ok(());
-        }
-        // Cancel any stale pending wake; we re-derive it from this tick.
-        if let Some(id) = s.pending_wake.take() {
-            wakes.cancel(id);
-        }
-        let mut executed = None;
-        match s.session.tick(now) {
-            Ok(Step::Wait(t)) => {
-                s.pending_wake = Some(wakes.schedule(t.max(now), idx));
-            }
-            Ok(Step::FrameDone { report, next_wake }) => {
-                executed = Some(report);
-                s.frames_done += 1;
-                s.pending_wake = Some(wakes.schedule(next_wake.max(now), idx));
-            }
-            Ok(Step::Stopped(_)) => {
-                s.failed = true;
-            }
-            Err(error) => {
-                return Err(SimError::Session {
-                    site: s.site_no,
-                    error,
-                });
-            }
-        }
-        s.session
-            .drain_confirmed(executed.as_ref(), &mut s.confirmed);
-        for (f, h) in s.confirmed.drain(..) {
-            if s.hashes.is_empty() {
-                s.first_frame = f;
-            }
-            s.hashes.push(h);
-        }
-        Ok(())
+        testbed.run_frames(cfg.frames)?;
+        self.collect(&testbed, net_telemetry)
     }
 
     fn collect(
         &self,
-        sites: Vec<SiteRunner>,
-        time_server: TimeServer,
-        net: Rc<RefCell<SimNetwork>>,
+        testbed: &Testbed,
         net_telemetry: Telemetry,
-        end: SimTime,
     ) -> Result<ExperimentResult, SimError> {
         let cfg = &self.config;
-        let telemetry: Vec<Telemetry> = sites
-            .iter()
-            .map(|s| s.session.config().telemetry.clone())
-            .collect();
+        let end = testbed.now();
+        let time_server = testbed.time_server();
+        let sites: Vec<&dyn Site> = testbed.sites().collect();
+        let telemetry: Vec<Telemetry> =
+            sites.iter().map(|s| s.config().telemetry.clone()).collect();
         // Series 1: frame times per player site, first `frames` frames.
         let mut stats = Vec::new();
         for s in sites.iter().take(cfg.num_players as usize) {
-            let mut times = time_server.frame_times(s.site_no);
+            let mut times = time_server.frame_times(s.config().my_site);
             times.truncate(cfg.frames as usize);
             stats.push(SiteStats::from_frame_times(&times));
         }
@@ -532,17 +380,18 @@ impl Experiment {
             0.0
         };
         // Convergence: every pair of replicas must agree on every common
-        // frame's state hash (offset by each site's first executed frame).
+        // frame's state hash (site 0's pairs are indexed from its first
+        // confirmed frame).
         let mut converged = true;
         let mut compared_frames = vec![0; sites.len()];
-        let reference = &sites[0];
-        for (si, s) in sites.iter().enumerate().skip(1) {
-            for (i, h) in s.hashes.iter().enumerate() {
-                let frame = s.first_frame + i as u64;
-                let Some(ri) = frame.checked_sub(reference.first_frame) else {
+        let reference = testbed.confirmed(0);
+        let first_frame = reference.first().map_or(0, |&(f, _)| f);
+        for si in 1..sites.len() {
+            for &(frame, h) in testbed.confirmed(si) {
+                let Some(ri) = frame.checked_sub(first_frame) else {
                     continue;
                 };
-                if let Some(rh) = reference.hashes.get(ri as usize) {
+                if let Some(&(_, rh)) = reference.get(ri as usize) {
                     compared_frames[si] += 1;
                     if rh != h {
                         if converged {
@@ -570,8 +419,8 @@ impl Experiment {
                 }
             }
         }
-        let session_stats: Vec<SessionStats> = sites.iter().map(|s| s.session.stats()).collect();
-        let net = net.borrow();
+        let session_stats: Vec<SessionStats> = sites.iter().map(|s| s.stats()).collect();
+        let net = testbed.net().borrow();
         let s01 = net.link_stats(PeerId(0), PeerId(1)).unwrap_or_default();
         let s10 = net.link_stats(PeerId(1), PeerId(0)).unwrap_or_default();
         Ok(ExperimentResult {

@@ -6,9 +6,12 @@
 //! inter-site synchrony via a LAN time server (Figure 2). This crate
 //! replaces that hardware with a discrete-event simulation:
 //!
-//! * [`ExperimentConfig`] / [`Experiment`] — one run: N lockstep sites over
-//!   impaired links, a measurement time server, seeded random players,
-//!   per-frame replica-convergence checking.
+//! * [`Testbed`] — the one event loop: prebuilt sessions of either policy
+//!   over a [`coplay_net::SimNetwork`], ticked in virtual time, their
+//!   confirmed hashes recorded.
+//! * [`ExperimentConfig`] / [`Experiment`] — one run on a [`Testbed`]: N
+//!   sites over impaired links, a measurement time server, seeded random
+//!   players, per-frame replica-convergence checking.
 //! * [`run_sweep`] / [`paper_rtt_points`] — the paper's RTT series
 //!   (0–200 ms step 10, 200–400 ms step 50).
 //! * [`metrics`] — the exact statistics of footnotes 10 and 11.
@@ -38,6 +41,7 @@
 mod experiment;
 pub mod metrics;
 mod sweep;
+mod testbed;
 
 pub use experiment::{
     run_experiment, Experiment, ExperimentConfig, ExperimentResult, SimError, FIRST_OBSERVER_SITE,
@@ -46,3 +50,4 @@ pub use metrics::SiteStats;
 pub use sweep::{
     format_figure1, format_figure2, paper_rtt_points, run_sweep, threshold_rtt, SweepRow,
 };
+pub use testbed::{Site, Testbed};

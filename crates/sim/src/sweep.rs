@@ -37,16 +37,15 @@ pub struct SweepRow {
 ///
 /// The output does not depend on `threads`: each point's experiment is
 /// deterministic given its config alone, rows come back in point order,
-/// and `progress` fires in point order. `threads` is clamped to
-/// `1..=points.len()`. One thread runs a serial loop that reports each
-/// point as it finishes; with more, `progress` fires after all have run.
+/// and `progress` fires in point order once every point has run.
+/// `threads` is clamped to `1..=points.len()`.
 ///
 /// # Errors
 ///
 /// The error for the earliest failing point, in point order (points far
 /// past the playable regime can exhaust the virtual-time budget; the
-/// paper stops at 400 ms which stays well inside it). The serial loop
-/// stops there; the threaded path runs every point to completion first.
+/// paper stops at 400 ms which stays well inside it). Every point runs to
+/// completion first.
 pub fn run_sweep(
     base: &ExperimentConfig,
     points: &[SimDuration],
@@ -54,17 +53,6 @@ pub fn run_sweep(
     mut progress: impl FnMut(SimDuration, &ExperimentResult),
 ) -> Result<Vec<SweepRow>, SimError> {
     let threads = threads.clamp(1, points.len().max(1));
-    if threads == 1 {
-        let mut rows = Vec::with_capacity(points.len());
-        for &rtt in points {
-            let mut cfg = base.clone();
-            cfg.rtt = rtt;
-            let result = run_experiment(cfg)?;
-            progress(rtt, &result);
-            rows.push(SweepRow { rtt, result });
-        }
-        return Ok(rows);
-    }
     // Work-stealing over an atomic cursor: threads claim whichever point
     // is next, and results land in per-thread (index, result) lists that
     // are merged by index afterwards — scheduling order never leaks into

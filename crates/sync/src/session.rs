@@ -362,7 +362,8 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
             // broadcast goodbye reaches every other member.
             self.transport.send(PeerId::BROADCAST, &bye)?;
         } else {
-            for p in self.cfg.peers() {
+            // The other players and every observer that greeted us.
+            for p in self.sync.destinations() {
                 self.transport.send(PeerId(p), &bye)?;
             }
         }
@@ -1244,16 +1245,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_observers_goodbye_leaves_the_game_running() {
-        let clock = VirtualClock::new();
-        let net = SimNetwork::shared(clock.clone());
+    /// Two players and an observer (site 2, no input bits of its own) on
+    /// 10 ms links of `net`, run for 60 frames.
+    fn players_and_observer(
+        net: &std::rc::Rc<std::cell::RefCell<SimNetwork>>,
+        deliver: impl FnMut(SimTime),
+    ) -> [LockstepSession<NullMachine, SimSocket, RandomPresser>; 3] {
         let link = NetemConfig::new().delay(SimDuration::from_millis(10));
         for (a, b) in [(0, 1), (0, 2), (1, 2)] {
-            SimNetwork::link_pair(&net, PeerId(a), PeerId(b), link.clone(), 1);
+            SimNetwork::link_pair(net, PeerId(a), PeerId(b), link.clone(), 1);
         }
         let mut sites = [0, 1, 2].map(|site| {
-            // Site 2 is an observer: two players, and no input bits of its own.
             let cfg = SyncConfig {
                 my_site: site,
                 ..SyncConfig::two_player(0)
@@ -1261,16 +1263,23 @@ mod tests {
             LockstepSession::new(
                 cfg,
                 NullMachine::new(),
-                SimNetwork::socket(&net, PeerId(site)),
+                SimNetwork::socket(net, PeerId(site)),
                 RandomPresser::new(Player(site.min(1)), u64::from(site) + 1),
             )
         });
+        let _ = run_sites(&mut sites, 60, SimTime::ZERO, deliver);
+        sites
+    }
+
+    #[test]
+    fn an_observers_goodbye_leaves_the_game_running() {
+        let clock = VirtualClock::new();
+        let net = SimNetwork::shared(clock.clone());
         let mut deliver = |now| {
             clock.set(now);
             net.borrow_mut().deliver_due(now);
         };
-        let _ = run_sites(&mut sites, 60, SimTime::ZERO, &mut deliver);
-        let [a, b, mut observer] = sites;
+        let [a, b, mut observer] = players_and_observer(&net, &mut deliver);
         observer.stop().unwrap();
         let mut players = [a, b];
         // `run_sites` panics if either player stops.
@@ -1284,6 +1293,26 @@ mod tests {
         );
         for p in &players {
             assert_eq!(p.sync().last_ack(2), None, "the observer is forgotten");
+        }
+    }
+
+    #[test]
+    fn a_players_goodbye_stops_its_observer() {
+        let clock = VirtualClock::new();
+        let net = SimNetwork::shared(clock.clone());
+        let mut deliver = |now| {
+            clock.set(now);
+            net.borrow_mut().deliver_due(now);
+        };
+        let [mut a, _, mut observer] = players_and_observer(&net, &mut deliver);
+        a.stop().unwrap();
+        // The observer learned of site 0 only through its own Hello, yet
+        // hears the goodbye one link delay later.
+        let now = clock.now() + SimDuration::from_millis(10);
+        deliver(now);
+        match observer.tick(now).unwrap() {
+            Step::Stopped(StopReason::PeerLeft) => {}
+            other => panic!("expected PeerLeft, got {other:?}"),
         }
     }
 

@@ -189,6 +189,12 @@ impl InputSync {
         self.peers.remove(&site);
     }
 
+    /// Every site this engine sends to: the other players and each
+    /// registered observer.
+    pub(crate) fn destinations(&self) -> impl Iterator<Item = u8> + '_ {
+        self.peers.keys().copied()
+    }
+
     /// `true` if this site contributes input bits.
     pub fn is_player(&self) -> bool {
         self.cfg.my_site < self.cfg.num_sites

@@ -160,15 +160,6 @@ impl DirtyPages {
         }
     }
 
-    /// Replaces `self` with a copy of `other`, reusing the word
-    /// allocation.
-    pub fn copy_from(&mut self, other: &DirtyPages) {
-        self.len = other.len;
-        self.all = other.all;
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-    }
-
     /// Number of pages currently marked dirty.
     pub fn count_pages(&self) -> usize {
         if self.all {
@@ -415,16 +406,6 @@ mod tests {
         assert_eq!(d.count_pages(), 0);
         d.mark(1999);
         assert_eq!(d.byte_ranges().collect::<Vec<_>>(), vec![(1792, 2000)]);
-    }
-
-    #[test]
-    fn copy_from_mirrors_the_source() {
-        let mut src = DirtyPages::new(1024);
-        src.mark(300);
-        let mut dst = DirtyPages::new(16);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
-        assert_eq!(dst.len(), 1024);
     }
 
     #[test]

@@ -197,27 +197,6 @@ impl FrameBuffer {
         }
     }
 
-    /// Draws a 1-pixel horizontal line.
-    pub fn hline(&mut self, x: i32, y: i32, w: i32, color: Color) {
-        self.fill_rect(x, y, w, 1, color);
-    }
-
-    /// Draws a 1-pixel vertical line.
-    pub fn vline(&mut self, x: i32, y: i32, h: i32, color: Color) {
-        self.fill_rect(x, y, 1, h, color);
-    }
-
-    /// Blits a `w`-wide sprite of palette indices; index 0 is transparent.
-    pub fn blit(&mut self, x: i32, y: i32, w: usize, data: &[u8]) {
-        for (i, &px) in data.iter().enumerate() {
-            if px & 0x0F != 0 {
-                let dx = (i % w) as i32;
-                let dy = (i / w) as i32;
-                self.set_pixel(x + dx, y + dy, Color(px));
-            }
-        }
-    }
-
     /// Draws a decimal number with a tiny 3×5 digit font (for scores).
     pub fn draw_number(&mut self, x: i32, y: i32, value: u32, color: Color) {
         const DIGITS: [u16; 10] = [
@@ -445,17 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn blit_treats_zero_as_transparent() {
-        let mut fb = FrameBuffer::new(4, 4);
-        fb.clear(Color(1));
-        fb.blit(0, 0, 2, &[0, 5, 5, 0]);
-        assert_eq!(fb.pixel(0, 0), Color(1)); // transparent
-        assert_eq!(fb.pixel(1, 0), Color(5));
-        assert_eq!(fb.pixel(0, 1), Color(5));
-        assert_eq!(fb.pixel(1, 1), Color(1)); // transparent
-    }
-
-    #[test]
     fn color_index_wraps_to_palette() {
         let mut fb = FrameBuffer::new(2, 2);
         fb.set_pixel(0, 0, Color(0xFF));
@@ -580,15 +548,5 @@ mod tests {
             fb.dirty_pages().byte_ranges().collect::<Vec<_>>(),
             vec![(256, 512)]
         );
-    }
-
-    #[test]
-    fn hline_vline() {
-        let mut fb = FrameBuffer::new(8, 8);
-        fb.hline(1, 1, 3, Color(2));
-        fb.vline(1, 1, 3, Color(3));
-        assert_eq!(fb.pixel(3, 1), Color(2));
-        assert_eq!(fb.pixel(1, 3), Color(3));
-        assert_eq!(fb.pixel(1, 1), Color(3)); // vline drew last
     }
 }

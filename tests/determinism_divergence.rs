@@ -149,64 +149,52 @@ fn replicas_agree_frame_by_frame_under_reordering_and_duplication() {
 /// site to actually speculate.
 #[test]
 fn rollback_site_matches_lockstep_site_over_adversarial_links() {
-    use coplay::clock::{Clock, VirtualClock};
     use coplay::net::{PeerId, SimNetwork};
-    use coplay::sync::{ConsistencyMode, LockstepSession, RandomPresser, RollbackSession, Step};
+    use coplay::sim::Testbed;
+    use coplay::sync::{ConsistencyMode, LockstepSession, RandomPresser, RollbackSession};
     use coplay::vm::Player;
 
     const FRAMES: u64 = 240;
-    let clock = VirtualClock::new();
-    let net = SimNetwork::shared(clock.clone());
+    let mut testbed = Testbed::default();
     // 140 ms RTT exceeds the 100 ms local-lag budget, so the rollback site
     // must predict the tail frames — and sometimes mispredict.
     let link = adversarial_config().delay(SimDuration::from_millis(70));
-    SimNetwork::link_pair(&net, PeerId(0), PeerId(1), link, 0xBAD_C0DE);
+    SimNetwork::link_pair(testbed.net(), PeerId(0), PeerId(1), link, 0xBAD_C0DE);
 
     let mut cfg0 = SyncConfig::two_player(0);
     cfg0.consistency = ConsistencyMode::rollback();
     let cfg1 = SyncConfig::two_player(1);
-    let mut a = RollbackSession::new(
+    let a = RollbackSession::new(
         cfg0,
         GameId::Brawler.create(),
-        SimNetwork::socket(&net, PeerId(0)),
+        SimNetwork::socket(testbed.net(), PeerId(0)),
         RandomPresser::new(Player::ONE, 11),
     );
-    let mut b = LockstepSession::new(
+    let b = LockstepSession::new(
         cfg1,
         GameId::Brawler.create(),
-        SimNetwork::socket(&net, PeerId(1)),
+        SimNetwork::socket(testbed.net(), PeerId(1)),
         RandomPresser::new(Player::TWO, 22),
     );
-
-    let mut confirmed: Vec<(u64, u64)> = Vec::new();
-    let mut lockstep: Vec<(u64, u64)> = Vec::new();
-    let tick = SimDuration::from_millis(1);
-    for _ in 0..60_000 {
-        let now = clock.now();
-        net.borrow_mut().deliver_due(now);
-        let _ = a.tick(now).expect("rollback site failed");
-        a.drain_confirmed(None, &mut confirmed);
-        if let Step::FrameDone { report, .. } = b.tick(now).expect("lockstep site failed") {
-            b.drain_confirmed(Some(&report), &mut lockstep);
-        }
-        if confirmed.len() as u64 >= FRAMES && lockstep.len() as u64 >= FRAMES {
-            break;
-        }
-        clock.set(now + tick);
-    }
+    testbed.add(a, SimTime::ZERO);
+    testbed.add(b, SimTime::ZERO);
+    // 240 frames take about 4 s of virtual time at this RTT.
+    testbed.run_until(SimTime::from_secs(6)).unwrap();
+    let (confirmed, lockstep) = (testbed.confirmed(0), testbed.confirmed(1));
     assert!(confirmed.len() as u64 >= FRAMES, "rollback site wedged");
     assert!(lockstep.len() as u64 >= FRAMES, "lockstep site wedged");
 
     // Non-vacuity: the adversary fired and speculation was actually
     // repaired at least once.
-    let stats = net
+    let stats = testbed
+        .net()
         .borrow()
         .link_stats(PeerId(0), PeerId(1))
         .expect("link exists");
     assert!(stats.duplicated > 0, "channel never duplicated: {stats:?}");
     assert!(stats.reordered > 0, "channel never reordered: {stats:?}");
     assert!(
-        a.stats().rollbacks > 0,
+        testbed.site(0).stats().rollbacks > 0,
         "RTT past the lag budget must force repairs"
     );
 

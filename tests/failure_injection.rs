@@ -6,116 +6,50 @@
 //!
 //! These tests cut the simulated link mid-game, observe the freeze, heal
 //! the link, and verify the game resumes and the replicas still converge.
+//! A rollback pair speculates into the outage up to its window, then
+//! freezes the same way.
 
-use coplay::clock::{Clock, EventQueue, SimDuration, SimTime, VirtualClock};
+use coplay::clock::{SimDuration, SimTime};
 use coplay::games::Pong;
 use coplay::net::{NetemConfig, PeerId, SimNetwork};
-use coplay::sync::{LockstepSession, RandomPresser, Step, SyncConfig};
+use coplay::sim::Testbed;
+use coplay::sync::{ConsistencyMode, LockstepSession, RandomPresser, RollbackSession, SyncConfig};
 use coplay::vm::Player;
 
-/// A minimal deterministic driver for two sessions over a SimNetwork.
-struct Harness {
-    clock: VirtualClock,
-    net: std::rc::Rc<std::cell::RefCell<SimNetwork>>,
-    wakes: EventQueue<usize>,
-    sessions: Vec<LockstepSession<Pong, coplay::net::SimSocket, RandomPresser>>,
-    hashes: Vec<Vec<u64>>,
+/// Two Pong sites under `consistency`, linked at `rtt_ms`, booting at zero.
+fn pair(rtt_ms: u64, consistency: ConsistencyMode) -> Testbed {
+    let mut tb = Testbed::default();
+    let link = NetemConfig::with_rtt(SimDuration::from_millis(rtt_ms));
+    SimNetwork::link_pair(tb.net(), PeerId(0), PeerId(1), link, 7);
+    for site in 0..2u8 {
+        let cfg = SyncConfig {
+            consistency,
+            ..SyncConfig::two_player(site)
+        };
+        let socket = SimNetwork::socket(tb.net(), PeerId(site));
+        let input = RandomPresser::new(Player(site), 100 + site as u64);
+        let (pong, boot) = (Pong::new(), SimTime::ZERO);
+        if consistency.is_rollback() {
+            tb.add(RollbackSession::new(cfg, pong, socket, input), boot);
+        } else {
+            tb.add(LockstepSession::new(cfg, pong, socket, input), boot);
+        }
+    }
+    tb
 }
 
-impl Harness {
-    fn new(rtt_ms: u64) -> Harness {
-        let clock = VirtualClock::new();
-        let net = SimNetwork::shared(clock.clone());
-        SimNetwork::link_pair(
-            &net,
-            PeerId(0),
-            PeerId(1),
-            NetemConfig::with_rtt(SimDuration::from_millis(rtt_ms)),
-            7,
-        );
-        let mut wakes = EventQueue::new();
-        let mut sessions = Vec::new();
-        for site in 0..2u8 {
-            let session = LockstepSession::new(
-                SyncConfig::two_player(site),
-                Pong::new(),
-                SimNetwork::socket(&net, PeerId(site)),
-                RandomPresser::new(Player(site), 100 + site as u64),
-            );
-            wakes.schedule(SimTime::ZERO, site as usize);
-            sessions.push(session);
-        }
-        Harness {
-            clock,
-            net,
-            wakes,
-            sessions,
-            hashes: vec![Vec::new(), Vec::new()],
-        }
-    }
-
-    /// Advances virtual time to `until`, ticking sessions as events fire.
-    fn run_until(&mut self, until: SimTime) {
-        loop {
-            let next_net = self.net.borrow_mut().next_delivery_time();
-            let next_wake = self.wakes.peek_time();
-            let t = match (next_net, next_wake) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return,
-            };
-            if t > until {
-                self.clock.set(until.max(self.clock.now()));
-                return;
-            }
-            self.clock.set(t.max(self.clock.now()));
-            let now = self.clock.now();
-            if self.net.borrow_mut().deliver_due(now) > 0 {
-                for idx in 0..self.sessions.len() {
-                    self.tick(idx, now);
-                }
-            }
-            while let Some(at) = self.wakes.peek_time() {
-                if at > now {
-                    break;
-                }
-                let (_, idx) = self.wakes.pop().expect("peeked");
-                self.tick(idx, now);
-            }
-        }
-    }
-
-    fn tick(&mut self, idx: usize, now: SimTime) {
-        match self.sessions[idx].tick(now).expect("session") {
-            Step::Wait(t) => {
-                self.wakes.schedule(t.max(now), idx);
-            }
-            Step::FrameDone { report, next_wake } => {
-                self.hashes[idx].push(report.state_hash.unwrap());
-                self.wakes.schedule(next_wake.max(now), idx);
-            }
-            Step::Stopped(r) => panic!("unexpected stop: {r}"),
-        }
-    }
-
-    fn set_link(&mut self, up: bool) {
-        let mut net = self.net.borrow_mut();
-        net.set_link_up(PeerId(0), PeerId(1), up);
-        net.set_link_up(PeerId(1), PeerId(0), up);
-    }
-
-    fn frames(&self, site: usize) -> usize {
-        self.hashes[site].len()
-    }
+fn set_link(tb: &Testbed, up: bool) {
+    let mut net = tb.net().borrow_mut();
+    net.set_link_up(PeerId(0), PeerId(1), up);
+    net.set_link_up(PeerId(1), PeerId(0), up);
 }
 
 #[test]
 fn network_outage_freezes_and_recovery_resumes() {
-    let mut h = Harness::new(40);
+    let mut h = pair(40, ConsistencyMode::Lockstep);
 
     // Phase 1: two seconds of healthy play.
-    h.run_until(SimTime::from_secs(2));
+    h.run_until(SimTime::from_secs(2)).unwrap();
     let healthy_frames = h.frames(0);
     assert!(
         healthy_frames > 100,
@@ -123,8 +57,8 @@ fn network_outage_freezes_and_recovery_resumes() {
     );
 
     // Phase 2: the network dies for two seconds.
-    h.set_link(false);
-    h.run_until(SimTime::from_secs(4));
+    set_link(&h, false);
+    h.run_until(SimTime::from_secs(4)).unwrap();
     let frames_during_outage = h.frames(0) - healthy_frames;
     // The local-lag window plus in-flight packets allow a handful of extra
     // frames, then the game must freeze (the paper's semantics).
@@ -134,8 +68,8 @@ fn network_outage_freezes_and_recovery_resumes() {
     );
 
     // Phase 3: the network heals; the game must resume and catch up.
-    h.set_link(true);
-    h.run_until(SimTime::from_secs(7));
+    set_link(&h, true);
+    h.run_until(SimTime::from_secs(7)).unwrap();
     let final_frames = h.frames(0).min(h.frames(1));
     assert!(
         final_frames > healthy_frames + 120,
@@ -143,10 +77,10 @@ fn network_outage_freezes_and_recovery_resumes() {
     );
 
     // Logical consistency must have survived the outage.
-    let common = h.frames(0).min(h.frames(1));
+    let common = h.confirmed(0).len().min(h.confirmed(1).len());
     assert_eq!(
-        h.hashes[0][..common],
-        h.hashes[1][..common],
+        h.confirmed(0)[..common],
+        h.confirmed(1)[..common],
         "replicas diverged across the outage"
     );
 }
@@ -156,39 +90,76 @@ fn one_way_outage_also_freezes_both_sites() {
     // Only site0 -> site1 dies: site 1 stalls for lack of inputs, and site 0
     // then stalls waiting for site 1's subsequent inputs (lockstep is
     // symmetric in effect even under asymmetric failure).
-    let mut h = Harness::new(40);
-    h.run_until(SimTime::from_secs(2));
+    let mut h = pair(40, ConsistencyMode::Lockstep);
+    h.run_until(SimTime::from_secs(2)).unwrap();
     let before = (h.frames(0), h.frames(1));
 
-    h.net.borrow_mut().set_link_up(PeerId(0), PeerId(1), false);
-    h.run_until(SimTime::from_secs(4));
+    h.net()
+        .borrow_mut()
+        .set_link_up(PeerId(0), PeerId(1), false);
+    h.run_until(SimTime::from_secs(4)).unwrap();
     let during = (h.frames(0) - before.0, h.frames(1) - before.1);
     assert!(during.0 < 30, "site 0 should stall too, ran {}", during.0);
     assert!(during.1 < 30, "site 1 should stall, ran {}", during.1);
 
-    h.net.borrow_mut().set_link_up(PeerId(0), PeerId(1), true);
-    h.run_until(SimTime::from_secs(6));
-    let common = h.frames(0).min(h.frames(1));
-    assert!(common > before.0 + 60, "recovery failed");
-    assert_eq!(h.hashes[0][..common], h.hashes[1][..common]);
+    h.net().borrow_mut().set_link_up(PeerId(0), PeerId(1), true);
+    h.run_until(SimTime::from_secs(6)).unwrap();
+    let common = h.confirmed(0).len().min(h.confirmed(1).len());
+    assert!(common as u64 > before.0 + 60, "recovery failed");
+    assert_eq!(h.confirmed(0)[..common], h.confirmed(1)[..common]);
 }
 
 #[test]
 fn repeated_flapping_never_breaks_consistency() {
-    let mut h = Harness::new(30);
+    let mut h = pair(30, ConsistencyMode::Lockstep);
     for cycle in 0..5u64 {
         let base = SimTime::from_millis(cycle * 1500);
-        h.run_until(base + SimDuration::from_millis(1000));
-        h.set_link(false);
-        h.run_until(base + SimDuration::from_millis(1500));
-        h.set_link(true);
+        h.run_until(base + SimDuration::from_millis(1000)).unwrap();
+        set_link(&h, false);
+        h.run_until(base + SimDuration::from_millis(1500)).unwrap();
+        set_link(&h, true);
     }
-    h.run_until(SimTime::from_secs(10));
-    let common = h.frames(0).min(h.frames(1));
+    h.run_until(SimTime::from_secs(10)).unwrap();
+    let common = h.confirmed(0).len().min(h.confirmed(1).len());
     assert!(common > 300, "game should have made progress between flaps");
     assert_eq!(
-        h.hashes[0][..common],
-        h.hashes[1][..common],
+        h.confirmed(0)[..common],
+        h.confirmed(1)[..common],
         "replicas diverged under link flapping"
+    );
+}
+
+#[test]
+fn rollback_pair_speculates_into_a_partition_and_agrees_after_heal() {
+    let mut h = pair(40, ConsistencyMode::rollback());
+    h.run_until(SimTime::from_secs(2)).unwrap();
+    let healthy = [h.frames(0), h.frames(1)];
+    let confirmed = h.confirmed(0).len();
+    assert!(healthy[0] > 100, "game should be running ({healthy:?})");
+
+    // Two seconds of two-way outage: each site speculates past its last
+    // peer input by at most the default 30-frame rollback window, on top
+    // of the local lag that input already covered, then blocks.
+    set_link(&h, false);
+    h.run_until(SimTime::from_secs(4)).unwrap();
+    let window = 30 + SyncConfig::two_player(0).buf_frames;
+    for (site, before) in healthy.into_iter().enumerate() {
+        let ran = h.frames(site) - before;
+        let speculative = h.frames(site) - h.confirmed(site).len() as u64;
+        assert!(speculative > 0, "site {site} never speculated");
+        assert!(ran <= window, "site {site} ran {ran} frames");
+    }
+
+    set_link(&h, true);
+    h.run_until(SimTime::from_secs(7)).unwrap();
+    let common = h.confirmed(0).len().min(h.confirmed(1).len());
+    assert!(
+        common > confirmed + 120,
+        "play should resume after the heal ({confirmed} -> {common} confirmed)"
+    );
+    assert_eq!(
+        h.confirmed(0)[..common],
+        h.confirmed(1)[..common],
+        "replicas diverged across the partition"
     );
 }
