@@ -342,7 +342,6 @@ fn measure_interp(budget: Duration) -> Vec<Measurement> {
 /// runs on every received datagram.
 fn measure_wire(budget: Duration) -> Vec<Measurement> {
     let msg = Message::Input(InputMsg {
-        from: 1,
         ack: 41,
         first: 42,
         inputs: (0..8).map(input_for).collect(),

@@ -13,7 +13,7 @@
 //! - [`wire`] — the relay datagram protocol (magic `0xC7`): register /
 //!   forward / deliver envelopes that borrow their payload, so forwarding
 //!   copies nothing through the codec.
-//! - [`RelayCore`] — the sans-io routing core: compact slab session table,
+//! - [`RelayCore`] — the sans-io routing core: a session map keyed by id,
 //!   per-session token-bucket backpressure with drop accounting, spectator
 //!   fan-out, and heartbeat eviction on the lobby's TTL cadence.
 //! - [`UdpRelay`] — the single-threaded non-blocking socket loop; shard by

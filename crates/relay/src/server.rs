@@ -8,11 +8,10 @@
 //! in time: every entry point takes `now` explicitly, so the discrete-event
 //! simulator and the wall-clock loop drive identical code.
 //!
-//! Routing state lives in a compact slab: a `Vec` of session slots indexed
-//! through a free list, with `BTreeMap` indexes by session id and by client
-//! address. Freed slots keep their member-vector capacity, so the steady
-//! state of the per-datagram path — look up the sender, charge the
-//! session's token bucket, fan the payload out — allocates nothing.
+//! Routing state is two maps: sessions by id, and each registered client
+//! address's session id. The per-datagram path — look up the sender,
+//! charge the session's token bucket, fan the payload out into reused
+//! reply buffers — allocates nothing in the steady state.
 
 use std::collections::BTreeMap;
 
@@ -23,10 +22,10 @@ use crate::wire::{RelayMessage, DEST_BROADCAST, MAX_RELAY_PAYLOAD};
 
 /// How long a member may stay silent before the sweep evicts it.
 ///
-/// Deliberately *the lobby's* heartbeat cadence ([`coplay_lobby::SESSION_TTL`]):
-/// a client that keeps its lobby registration alive keeps its relay slot
-/// alive with the same traffic pattern, and operators tune one knob.
-pub const MEMBER_TTL: SimDuration = coplay_lobby::SESSION_TTL;
+/// Deliberately the lobby's heartbeat cadence (its `SESSION_TTL`, which a
+/// workspace test holds equal): a client that keeps its lobby registration
+/// alive keeps its relay membership alive with the same traffic pattern.
+pub const MEMBER_TTL: SimDuration = SimDuration::from_secs(30);
 
 /// Sites `254` and `255` are reserved (broadcast and the time server).
 const MAX_SITE: u8 = DEST_BROADCAST - 1;
@@ -151,23 +150,21 @@ struct Member<A> {
     last_seen: SimTime,
 }
 
+/// One routed session.
 #[derive(Debug)]
-struct Slot<A> {
-    session: u32,
+struct Session<A> {
     members: Vec<Member<A>>,
     bucket: TokenBucket,
     /// Forwards this session lost to backpressure (per-session accounting
     /// on top of the global counter).
     drops: u64,
-    in_use: bool,
 }
 
 /// The sans-io relay core. See the module docs for the big picture.
 pub struct RelayCore<A> {
     cfg: RelayConfig,
-    slots: Vec<Slot<A>>,
-    free: Vec<u32>,
-    by_session: BTreeMap<u32, u32>,
+    sessions: BTreeMap<u32, Session<A>>,
+    /// The session each registered address belongs to.
     by_addr: BTreeMap<A, u32>,
     /// Reply buffers, reused across calls: `out[..out_len]` is live.
     out: Vec<(A, Vec<u8>)>,
@@ -181,10 +178,7 @@ impl<A: Copy + Ord> RelayCore<A> {
     pub fn new(cfg: RelayConfig) -> RelayCore<A> {
         RelayCore {
             cfg,
-            // Constructor-time containers; every per-datagram path reuses them.
-            slots: Vec::new(),
-            free: Vec::new(),
-            by_session: BTreeMap::new(),
+            sessions: BTreeMap::new(),
             by_addr: BTreeMap::new(),
             out: Vec::new(),
             out_len: 0,
@@ -213,23 +207,17 @@ impl<A: Copy + Ord> RelayCore<A> {
 
     /// Live sessions routed by this core.
     pub fn session_count(&self) -> usize {
-        self.by_session.len()
+        self.sessions.len()
     }
 
     /// Members currently registered in `session` (0 if unknown).
     pub fn member_count(&self, session: u32) -> usize {
-        self.by_session
-            .get(&session)
-            .and_then(|&si| self.slots.get(si as usize))
-            .map_or(0, |s| s.members.len())
+        self.sessions.get(&session).map_or(0, |s| s.members.len())
     }
 
     /// Forwards this session has lost to backpressure (0 if unknown).
     pub fn session_drops(&self, session: u32) -> u64 {
-        self.by_session
-            .get(&session)
-            .and_then(|&si| self.slots.get(si as usize))
-            .map_or(0, |s| s.drops)
+        self.sessions.get(&session).map_or(0, |s| s.drops)
     }
 
     /// Processes one datagram from `from`, returning the datagrams to send
@@ -246,25 +234,18 @@ impl<A: Copy + Ord> RelayCore<A> {
         self.replies()
     }
 
-    /// Evicts members silent for longer than the TTL and frees emptied
-    /// session slots. Returns best-effort `Evicted` notifications (valid
-    /// until the next `handle`/`sweep` call). Call periodically — the TTL
-    /// over 4 is a sensible cadence.
+    /// Evicts members silent for longer than the TTL and drops emptied
+    /// sessions. Returns best-effort `Evicted` notifications (valid until
+    /// the next `handle`/`sweep` call). Call periodically — the TTL over 4
+    /// is a sensible cadence.
     pub fn sweep(&mut self, now: SimTime) -> &[(A, Vec<u8>)] {
         self.out_len = 0;
-        for si in 0..self.slots.len() {
-            if !self.slots[si].in_use {
-                continue;
-            }
-            let session = self.slots[si].session;
-            let mut mi = 0;
-            while mi < self.slots[si].members.len() {
-                let m = self.slots[si].members[mi];
-                if now.saturating_since(m.last_seen) <= self.cfg.member_ttl {
-                    mi += 1;
-                    continue;
+        let ttl = self.cfg.member_ttl;
+        self.sessions.retain(|&session, s| {
+            s.members.retain(|m| {
+                if now.saturating_since(m.last_seen) <= ttl {
+                    return true;
                 }
-                self.slots[si].members.swap_remove(mi);
                 self.by_addr.remove(&m.addr);
                 self.stats.evicted_members += 1;
                 self.telemetry.record(
@@ -276,11 +257,14 @@ impl<A: Copy + Ord> RelayCore<A> {
                 );
                 let buf = out_slot(&mut self.out, &mut self.out_len, m.addr);
                 RelayMessage::Evicted { session }.encode_into(buf);
+                false
+            });
+            let live = !s.members.is_empty();
+            if !live {
+                self.stats.expired_sessions += 1;
             }
-            if self.slots[si].members.is_empty() {
-                self.free_slot(si as u32);
-            }
-        }
+            live
+        });
         self.replies()
     }
 
@@ -291,18 +275,17 @@ impl<A: Copy + Ord> RelayCore<A> {
 
     /// The per-datagram hot path: sender lookup, token charge, fan-out.
     fn on_forward(&mut self, from: A, dest: u8, payload: &[u8], now: SimTime) {
-        let Some(&si) = self.by_addr.get(&from) else {
+        let Some(session) = self.by_addr.get(&from) else {
             self.stats.dropped_unregistered += 1;
             return;
         };
-        let si = si as usize;
         let (rate, burst) = (self.cfg.bucket_rate, self.cfg.bucket_burst);
-        let Some(slot) = self.slots.get_mut(si) else {
+        let Some(s) = self.sessions.get_mut(session) else {
             return;
         };
-        let Some(sender) = slot.members.iter_mut().find(|m| m.addr == from) else {
-            // The index and the slot disagree (stale entry); treat like an
-            // unknown sender rather than panicking in the datagram path.
+        let Some(sender) = s.members.iter_mut().find(|m| m.addr == from) else {
+            // The index and the session disagree (stale entry); treat like
+            // an unknown sender rather than panicking in the datagram path.
             self.stats.dropped_unregistered += 1;
             return;
         };
@@ -313,8 +296,8 @@ impl<A: Copy + Ord> RelayCore<A> {
             self.stats.dropped_refused += 1;
             return;
         }
-        if !slot.bucket.take(now, rate, burst) {
-            slot.drops += 1;
+        if !s.bucket.take(now, rate, burst) {
+            s.drops += 1;
             self.stats.dropped_backpressure += 1;
             return;
         }
@@ -326,8 +309,7 @@ impl<A: Copy + Ord> RelayCore<A> {
         );
         let deliver = RelayMessage::Deliver { from_site, payload };
         let mut copies = 0u64;
-        for mi in 0..self.slots[si].members.len() {
-            let m = self.slots[si].members[mi];
+        for m in &s.members {
             if m.addr == from {
                 continue;
             }
@@ -364,17 +346,9 @@ impl<A: Copy + Ord> RelayCore<A> {
                 }
             }
             RelayMessage::Bye { session } => {
-                let Some(&si) = self.by_addr.get(&from) else {
-                    return;
-                };
-                if self
-                    .slots
-                    .get(si as usize)
-                    .is_none_or(|s| s.session != session)
-                {
-                    return;
+                if self.by_addr.get(&from) == Some(&session) {
+                    self.remove_member(session, from);
                 }
-                self.remove_member(si, from);
             }
             // Server-to-client messages arriving at the server are noise
             // (`handle` routes every `Forward` to `on_forward`).
@@ -406,30 +380,26 @@ impl<A: Copy + Ord> RelayCore<A> {
         }
         // Same address, different identity: drop the old registration and
         // fall through to a fresh insert.
-        if let Some(&si) = self.by_addr.get(&from) {
-            self.remove_member(si, from);
+        if let Some(&old) = self.by_addr.get(&from) {
+            self.remove_member(old, from);
         }
-        let si = match self.by_session.get(&session) {
-            Some(&si) => si,
-            None => match self.alloc_slot(session, now) {
-                Some(si) => si,
-                None => {
-                    self.stats.dropped_refused += 1;
-                    return;
-                }
-            },
-        };
-        let Some(slot) = self.slots.get_mut(si as usize) else {
-            return;
-        };
-        // A site may have only one live owner; the contender is refused
-        // until eviction or an orderly Bye frees it.
-        if !spectator && slot.members.iter().any(|m| !m.spectator && m.site == site) {
+        if !self.sessions.contains_key(&session) && self.sessions.len() >= self.cfg.max_sessions {
             self.stats.dropped_refused += 1;
             return;
         }
-        let spectators = slot.members.iter().filter(|m| m.spectator).count();
-        let players = slot.members.len() - spectators;
+        let s = self.sessions.entry(session).or_insert_with(|| Session {
+            members: Vec::new(),
+            bucket: TokenBucket::full(self.cfg.bucket_burst, now),
+            drops: 0,
+        });
+        // A site may have only one live owner; the contender is refused
+        // until eviction or an orderly Bye frees it.
+        if !spectator && s.members.iter().any(|m| !m.spectator && m.site == site) {
+            self.stats.dropped_refused += 1;
+            return;
+        }
+        let spectators = s.members.iter().filter(|m| m.spectator).count();
+        let players = s.members.len() - spectators;
         let full = if spectator {
             spectators >= self.cfg.max_spectators
         } else {
@@ -439,13 +409,13 @@ impl<A: Copy + Ord> RelayCore<A> {
             self.stats.dropped_refused += 1;
             return;
         }
-        slot.members.push(Member {
+        s.members.push(Member {
             site,
             addr: from,
             spectator,
             last_seen: now,
         });
-        self.by_addr.insert(from, si);
+        self.by_addr.insert(from, session);
         self.stats.registrations += 1;
         self.telemetry.record(
             now,
@@ -461,68 +431,27 @@ impl<A: Copy + Ord> RelayCore<A> {
 
     /// Finds the member registered at `from`, with its session id.
     fn member_mut(&mut self, from: A) -> Option<(u32, &mut Member<A>)> {
-        let &si = self.by_addr.get(&from)?;
-        let slot = self.slots.get_mut(si as usize)?;
-        let session = slot.session;
-        slot.members
+        let &session = self.by_addr.get(&from)?;
+        self.sessions
+            .get_mut(&session)?
+            .members
             .iter_mut()
             .find(|m| m.addr == from)
             .map(|m| (session, m))
     }
 
-    fn remove_member(&mut self, si: u32, addr: A) {
+    /// Removes the member at `addr` from `session`, and the session once
+    /// it is empty.
+    fn remove_member(&mut self, session: u32, addr: A) {
         self.by_addr.remove(&addr);
-        let Some(slot) = self.slots.get_mut(si as usize) else {
+        let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
-        if let Some(mi) = slot.members.iter().position(|m| m.addr == addr) {
-            slot.members.swap_remove(mi);
+        s.members.retain(|m| m.addr != addr);
+        if s.members.is_empty() {
+            self.sessions.remove(&session);
+            self.stats.expired_sessions += 1;
         }
-        if slot.members.is_empty() {
-            self.free_slot(si);
-        }
-    }
-
-    /// Takes a slot from the free list (capacity retained from its previous
-    /// tenancy) or grows the slab, up to `max_sessions`.
-    fn alloc_slot(&mut self, session: u32, now: SimTime) -> Option<u32> {
-        let si = match self.free.pop() {
-            Some(si) => si,
-            None => {
-                if self.slots.len() >= self.cfg.max_sessions {
-                    return None;
-                }
-                self.slots.push(Slot {
-                    session: 0,
-                    members: Vec::new(),
-                    bucket: TokenBucket::full(self.cfg.bucket_burst, now),
-                    drops: 0,
-                    in_use: false,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let slot = self.slots.get_mut(si as usize)?;
-        slot.session = session;
-        slot.members.clear();
-        slot.bucket = TokenBucket::full(self.cfg.bucket_burst, now);
-        slot.drops = 0;
-        slot.in_use = true;
-        self.by_session.insert(session, si);
-        Some(si)
-    }
-
-    fn free_slot(&mut self, si: u32) {
-        let Some(slot) = self.slots.get_mut(si as usize) else {
-            return;
-        };
-        if !slot.in_use {
-            return;
-        }
-        slot.in_use = false;
-        self.by_session.remove(&slot.session);
-        self.free.push(si);
-        self.stats.expired_sessions += 1;
     }
 }
 
@@ -827,7 +756,7 @@ mod tests {
     fn rebinding_an_address_to_a_new_identity_moves_it() {
         let mut c = core(RelayConfig::default());
         register(&mut c, PeerId(10), 1, 0, false, at(0));
-        // Same address re-registers with a different site: old slot freed.
+        // Same address re-registers with a different site: old entry dropped.
         let acks = register(&mut c, PeerId(10), 1, 3, false, at(1));
         assert_eq!(
             acks,

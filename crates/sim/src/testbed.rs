@@ -176,9 +176,9 @@ impl Testbed {
         self.clock.set(t.max(self.now()));
         let now = self.now();
         if self.net.borrow_mut().deliver_due(now) > 0 {
-            while let Some((_, data)) = self.server_sock.try_recv().expect("sim socket") {
-                if let Ok(Message::TimeStamp { site, frame }) = Message::decode(&data) {
-                    self.time_server.record(site, frame, now);
+            while let Some((from, data)) = self.server_sock.try_recv().expect("sim socket") {
+                if let Ok(Message::TimeStamp { frame }) = Message::decode(&data) {
+                    self.time_server.record(from.0, frame, now);
                 }
             }
             // Datagrams may unblock any site: tick them all.

@@ -102,6 +102,6 @@ pub use session::{
 };
 pub use snapshot::{CheckpointInfo, CheckpointReport, RestoreError, SnapshotRing};
 pub use stats::SessionStats;
-pub use sync_input::{InputSync, MasterObservation, RecvOutcome, OBSERVER_SITE, RETAIN_FRAMES};
+pub use sync_input::{InputSync, MasterObservation, RecvOutcome, RETAIN_FRAMES};
 pub use timing::{FrameEnd, FrameTimer};
 pub use wire::{InputMsg, Message, WireError, MAX_CHUNK_BYTES, MAX_INPUTS_PER_MSG};

@@ -407,7 +407,6 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                     if now >= *next_hello {
                         *next_hello = now + JOIN_RETRY;
                         let hello = Message::Hello {
-                            site: self.cfg.my_site,
                             rom_hash: self.rom_hash,
                         }
                         .encode();
@@ -495,10 +494,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                             self.sync.expedite_send(now);
                         }
                         if let Some(server) = self.time_server {
-                            let stamp = Message::TimeStamp {
-                                site: self.cfg.my_site,
-                                frame: self.frame,
-                            };
+                            let stamp = Message::TimeStamp { frame: self.frame };
                             self.transport.send(server, &stamp.encode())?;
                         }
                         self.phase = Phase::Run(RunState::Syncing);
@@ -735,11 +731,12 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
         msg: Message,
         now: SimTime,
     ) -> Result<(), SyncError> {
+        let site = from.0;
         match msg {
             Message::Input(m) => {
                 self.stats.input_messages_received += 1;
-                let before = self.sync.last_rcv(m.from);
-                let outcome = self.sync.on_message(&m, now);
+                let before = self.sync.last_rcv(site);
+                let outcome = self.sync.on_message(site, &m, now);
                 if outcome.duplicate {
                     self.stats.duplicate_messages_received += 1;
                 }
@@ -747,14 +744,14 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                 self.stats.retransmitted_frames_received +=
                     (outcome.carried - outcome.fresh) as u64;
                 if let (Some(spec), Some(before)) = (self.policy.speculative(), before) {
-                    spec.check_predictions(m.from, before, &self.sync, &self.cfg, now);
+                    spec.check_predictions(site, before, &self.sync, &self.cfg, now);
                 }
                 // A player runs only once every player joined it, so its
                 // input tells another player the session started at frame 0
                 // even when the greeting or its answer was lost. Not so for
                 // an observer, which may be a latecomer owed a snapshot.
                 if self.sync.is_player() {
-                    self.note_join(m.from, 0);
+                    self.note_join(site, 0);
                 }
             }
             Message::Ping { nonce } => {
@@ -762,7 +759,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                     .send(from, &Message::Pong { nonce }.encode())?;
             }
             Message::Pong { nonce } => self.rtt.on_pong(nonce, now),
-            Message::Hello { site, rom_hash } => {
+            Message::Hello { rom_hash } => {
                 if rom_hash != self.rom_hash {
                     return Err(SyncError::RomMismatch {
                         ours: self.rom_hash,
@@ -821,7 +818,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
                         theirs: rom_hash,
                     });
                 }
-                self.note_join(from.0, start_frame);
+                self.note_join(site, start_frame);
             }
             Message::SnapshotRequest => {
                 // Serve an authoritative state in chunks (master only, but
@@ -887,7 +884,7 @@ impl<M: Machine, T: Transport, S: InputSource, C: Consistency> Session<M, T, S, 
             }
             // An observer leaving takes nothing from the game: stop sending
             // to it and play on. A player leaving ends the session.
-            Message::Bye if from.0 >= self.cfg.num_sites => self.sync.remove_peer(from.0),
+            Message::Bye if site >= self.cfg.num_sites => self.sync.remove_peer(site),
             Message::Bye => {
                 self.phase = Phase::Done(StopReason::PeerLeft);
             }
@@ -1428,7 +1425,6 @@ mod tests {
 
     fn hello_as_site_1(tb: &mut LoopbackTransport) {
         let hello = Message::Hello {
-            site: 1,
             rom_hash: NullMachine::new().state_hash(),
         };
         tb.send(PeerId(0), &hello.encode()).unwrap();
@@ -1511,7 +1507,6 @@ mod tests {
     /// endpoint.
     fn send_site_1_inputs(tb: &mut LoopbackTransport, first: u64, inputs: Vec<InputWord>) {
         let msg = Message::Input(InputMsg {
-            from: 1,
             ack: 0,
             first,
             inputs,
@@ -1793,6 +1788,54 @@ mod tests {
         };
         assert_eq!(join(None), 5);
         assert_eq!(join(Some(stray)), 5, "the stray chunk delayed the join");
+    }
+
+    /// An observer sends site 1, from its own address, input words for
+    /// frames 6..=12 that press every button site 0 owns. The transport
+    /// names the sender, so the words land in no player's slots: site 1
+    /// still has nothing from site 0.
+    fn observer_input_lands_in_no_slot<C: Consistency>(
+        new: fn(SyncConfig, NullMachine, SimSocket, RandomPresser) -> SimSess<C>,
+        mode: ConsistencyMode,
+    ) {
+        const OBSERVER: u8 = 0xE0;
+        let clock = VirtualClock::new();
+        let net = SimNetwork::shared(clock.clone());
+        for from in [0, OBSERVER] {
+            SimNetwork::link_pair(&net, PeerId(from), PeerId(1), NetemConfig::new(), 1);
+        }
+        let mut observer = SimNetwork::socket(&net, PeerId(OBSERVER));
+        let socket = SimNetwork::socket(&net, PeerId(1));
+        let source = RandomPresser::new(Player::TWO, 2);
+        let mut b = new(cfg(1, mode), NullMachine::new(), socket, source);
+        let site_0_pressing = SyncConfig::two_player(0)
+            .port_map
+            .partial_input(0, InputWord(u32::MAX));
+        let hello = Message::Hello {
+            rom_hash: NullMachine::new().state_hash(),
+        };
+        let input = Message::Input(InputMsg {
+            ack: 5,
+            first: 6,
+            inputs: vec![site_0_pressing; 7],
+        });
+        for m in [hello, input] {
+            observer.send(PeerId(1), &m.encode()).unwrap();
+        }
+        net.borrow_mut().deliver_due(clock.now());
+        let _ = b.tick(clock.now()).unwrap();
+        assert_eq!(b.stats().input_messages_received, 1, "{mode:?}");
+        assert_eq!(b.sync().last_rcv(0), Some(5), "{mode:?}");
+        for f in 6..=12 {
+            assert!(!b.sync().has_authoritative(f, 0), "{mode:?}: frame {f}");
+            assert_eq!(b.sync().merged_input(f), InputWord::NONE, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn an_observer_cannot_send_a_players_input() {
+        observer_input_lands_in_no_slot(LockstepSession::new, ConsistencyMode::Lockstep);
+        observer_input_lands_in_no_slot(RollbackSession::new, ConsistencyMode::rollback());
     }
 
     /// The frame whose begin changes site 0's scripted input: odd, so its

@@ -40,10 +40,6 @@ use crate::config::SyncConfig;
 use crate::input_buffer::InputBuffer;
 use crate::wire::{InputMsg, MAX_PAYLOAD_FRAMES};
 
-/// Site number used by observers (they own no input bits and nobody waits
-/// for them).
-pub const OBSERVER_SITE: u8 = 0xFE;
-
 /// Frames of input history every site retains past full acknowledgement,
 /// so latecomers can be served without unbounded memory (extension; the
 /// ICDCS algorithm assumes an unlimited buffer). An observer whose acks
@@ -109,8 +105,8 @@ pub struct RecvOutcome {
 ///     let now = SimTime::from_millis(frame * 25); // one frame per call
 ///     a.begin_frame(frame, InputWord(0x01), now);
 ///     b.begin_frame(frame, InputWord(0x0200), now);
-///     for (_, m) in a.outgoing(now) { b.on_message(&m, now); }
-///     for (_, m) in b.outgoing(now) { a.on_message(&m, now); }
+///     for (_, m) in a.outgoing(now) { b.on_message(0, &m, now); }
+///     for (_, m) in b.outgoing(now) { a.on_message(1, &m, now); }
 ///     assert!(a.ready() && b.ready());
 ///     assert_eq!(a.take(), b.take());
 /// }
@@ -389,15 +385,7 @@ impl InputSync {
                     retransmitted,
                 },
             );
-            out.push((
-                site,
-                InputMsg {
-                    from: cfg.my_site,
-                    ack,
-                    first,
-                    inputs,
-                },
-            ));
+            out.push((site, InputMsg { ack, first, inputs }));
         }
         if !out.is_empty() {
             self.next_send = now + self.cfg.send_interval;
@@ -405,47 +393,57 @@ impl InputSync {
         out
     }
 
-    /// Lines 12–20: integrate a received message.
+    /// Lines 12–20: integrate a message received from site `from` (the
+    /// paper's `RmSiteNo`, which the transport names).
     ///
     /// The returned [`RecvOutcome`] summarizes what the message contributed
     /// (for telemetry/statistics); it is all-zero for messages from unknown
     /// senders or from this site itself.
-    pub fn on_message(&mut self, msg: &InputMsg, now: SimTime) -> RecvOutcome {
-        let from = msg.from;
+    pub fn on_message(&mut self, from: u8, msg: &InputMsg, now: SimTime) -> RecvOutcome {
         if from == self.cfg.my_site {
             return RecvOutcome::default();
         }
         let Some(peer) = self.peers.get_mut(&from) else {
             return RecvOutcome::default(); // unknown sender: drop, as with any open UDP port
         };
-        let carried = msg.inputs.len() as u32;
+        // Lines 14–16 advance LastRcvFrame only over contiguous frames. An
+        // honest sender starts at the ack it last saw from us, at most
+        // `last_rcv + 1`; a message starting past that (from a peer that
+        // outlived our state) would count the gap as received, so its
+        // inputs are dropped before they touch the buffer.
+        let inputs = if msg.first <= peer.last_rcv.saturating_add(1) {
+            &msg.inputs[..]
+        } else {
+            &[]
+        };
+        let carried = inputs.len() as u32;
         // Owe an ack only for messages that carried inputs: duplicates still
         // refresh the ack (the previous one may have been lost), while pure
         // acks never trigger responses (no ack ping-pong).
-        if !msg.inputs.is_empty() {
+        if !inputs.is_empty() {
             peer.need_ack = true;
         }
 
         // Line 13: fill IBuf with the received remote partials (duplicates
         // are ignored inside the buffer).
         let mut fresh = 0u32;
-        if from < self.cfg.num_sites {
-            for (i, &w) in msg.inputs.iter().enumerate() {
-                self.buf.set_partial(msg.first + i as u64, from, w);
+        if from < self.cfg.num_sites && !inputs.is_empty() {
+            for (f, &w) in (msg.first..).zip(inputs) {
+                self.buf.set_partial(f, from, w);
             }
-            // Lines 14–16: advance LastRcvFrame[from]. Contiguity holds
-            // because msg.first = (our ack they saw) + 1 <= last_rcv + 1.
-            if !msg.inputs.is_empty() && msg.last() > peer.last_rcv {
-                fresh = (msg.last() - peer.last_rcv).min(carried as u64) as u32;
+            // Lines 14–16: advance LastRcvFrame[from].
+            let last = msg.last();
+            if last > peer.last_rcv {
+                fresh = (last - peer.last_rcv).min(carried as u64) as u32;
                 // Span chain: only the frames this message is the first to
                 // deliver count as received (contiguity guarantees the
                 // range starts within the message).
                 if self.cfg.telemetry.is_tracing() {
-                    for f in peer.last_rcv + 1..=msg.last() {
+                    for f in peer.last_rcv + 1..=last {
                         self.cfg.telemetry.span(now, SpanStage::Received, f, from);
                     }
                 }
-                peer.last_rcv = msg.last();
+                peer.last_rcv = last;
                 peer.heard = true;
                 if from == 0 && self.cfg.my_site != 0 {
                     self.master_rcv_time = Some(now);
@@ -498,6 +496,10 @@ mod tests {
     use coplay_clock::SimDuration;
     use coplay_vm::{Button, Player};
 
+    /// An observer's site number: any number at or above the player
+    /// count, short of the reserved [`coplay_net::PeerId::BROADCAST`].
+    const OBSERVER: u8 = 0xE0;
+
     fn now() -> SimTime {
         SimTime::ZERO
     }
@@ -521,10 +523,10 @@ mod tests {
         a.begin_frame(f, ia, t);
         b.begin_frame(f, ib, t);
         for (_, m) in a.outgoing(t) {
-            b.on_message(&m, t);
+            b.on_message(0, &m, t);
         }
         for (_, m) in b.outgoing(t) {
-            a.on_message(&m, t);
+            a.on_message(1, &m, t);
         }
         assert!(a.ready() && b.ready(), "frame {f} not ready");
         (a.take(), b.take())
@@ -603,7 +605,7 @@ mod tests {
         assert!(!a.ready(), "remote partial for frame 6 not yet received");
         b.begin_frame(6, InputWord(0x0100), t);
         for (_, m) in b.outgoing(t) {
-            a.on_message(&m, t);
+            a.on_message(1, &m, t);
         }
         assert!(a.ready());
     }
@@ -627,7 +629,7 @@ mod tests {
         b.begin_frame(6, InputWord(0x0100), t1);
         let _lost = b.outgoing(t1);
         for (_, m) in a.outgoing(t1) {
-            b.on_message(&m, t1);
+            b.on_message(0, &m, t1);
         }
         assert!(!a.ready());
         assert!(b.ready());
@@ -637,7 +639,7 @@ mod tests {
         let again = b.outgoing(t2);
         assert!(!again.is_empty(), "unacked inputs must be retransmitted");
         for (_, m) in again {
-            a.on_message(&m, t2);
+            a.on_message(1, &m, t2);
         }
         assert!(a.ready());
         assert_eq!(a.last_rcv(1), Some(12), "b's buffered range arrived");
@@ -655,9 +657,9 @@ mod tests {
         b.begin_frame(6, InputWord(0x0100), t);
         let msgs = b.outgoing(t);
         for (_, m) in &msgs {
-            a.on_message(m, t);
-            a.on_message(m, t); // duplicate
-            a.on_message(m, t); // triplicate
+            a.on_message(1, m, t);
+            a.on_message(1, m, t); // duplicate
+            a.on_message(1, m, t); // triplicate
         }
         assert!(a.ready());
         assert_eq!(a.last_rcv(1), Some(12));
@@ -678,7 +680,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         a.begin_frame(6, InputWord(1), t0);
         for (_, m) in a.outgoing(t0) {
-            b.on_message(&m, t0); // b now holds a's partials 6..=12
+            b.on_message(0, &m, t0); // b now holds a's partials 6..=12
         }
         let mut stash = Vec::new();
         for f in 6..9u64 {
@@ -690,7 +692,7 @@ mod tests {
         // Deliver b's messages to a newest-first.
         let t = SimTime::from_secs(60);
         for m in stash.iter().rev() {
-            a.on_message(m, t);
+            a.on_message(1, m, t);
         }
         // b buffered lag frames up to 8 + 6 = 14; all arrived contiguously.
         assert_eq!(a.last_rcv(1), Some(14));
@@ -729,10 +731,10 @@ mod tests {
             let msgs_b = b.outgoing(t);
             total += msgs_a.len() + msgs_b.len();
             for (_, m) in msgs_a {
-                b.on_message(&m, t);
+                b.on_message(0, &m, t);
             }
             for (_, m) in msgs_b {
-                a.on_message(&m, t);
+                a.on_message(1, &m, t);
             }
             t += SimDuration::from_millis(25);
         }
@@ -749,7 +751,7 @@ mod tests {
         let t = SimTime::from_millis(123);
         a.begin_frame(0, InputWord(1), t);
         for (_, m) in a.outgoing(t) {
-            b.on_message(&m, t);
+            b.on_message(0, &m, t);
         }
         let obs = b.master_observation().expect("heard the master");
         assert_eq!(obs.master_lagged_frame, 6); // frame 0 + BufFrame
@@ -768,13 +770,13 @@ mod tests {
             }
             // Exchange full mesh.
             let mut msgs: Vec<(u8, u8, InputMsg)> = Vec::new();
-            for sync in sites.iter_mut() {
+            for (src, sync) in (0..).zip(sites.iter_mut()) {
                 for (dst, m) in sync.outgoing(t) {
-                    msgs.push((m.from, dst, m));
+                    msgs.push((src, dst, m));
                 }
             }
-            for (_, dst, m) in &msgs {
-                sites[*dst as usize].on_message(m, t);
+            for (src, dst, m) in &msgs {
+                sites[*dst as usize].on_message(*src, m, t);
             }
             let words: Vec<InputWord> = sites.iter_mut().map(|s| s.take()).collect();
             assert_eq!(words[0], words[1]);
@@ -790,28 +792,29 @@ mod tests {
         let mut a = InputSync::new(SyncConfig::two_player(0));
         let mut b = InputSync::new(SyncConfig::two_player(1));
         let mut cfg_o = SyncConfig::two_player(0);
-        cfg_o.my_site = OBSERVER_SITE;
+        cfg_o.my_site = OBSERVER;
         let mut o = InputSync::new(cfg_o);
         assert!(!o.is_player());
         // Players must learn the observer exists to retransmit to it.
-        a.add_peer(OBSERVER_SITE, 0);
-        b.add_peer(OBSERVER_SITE, 0);
+        a.add_peer(OBSERVER, 0);
+        b.add_peer(OBSERVER, 0);
 
         for f in 0..20u64 {
             let t = SimTime::from_millis(f * 25);
             a.begin_frame(f, InputWord(0x11), t);
             b.begin_frame(f, InputWord(0x2200), t);
             o.begin_frame(f, InputWord(0xFFFF_FFFF), t); // ignored
-            let deliver = |msgs: Vec<(u8, InputMsg)>,
+            let deliver = |from: u8,
+                           msgs: Vec<(u8, InputMsg)>,
                            t: SimTime,
                            a: &mut InputSync,
                            b: &mut InputSync,
                            o: &mut InputSync| {
                 for (dst, m) in msgs {
                     match dst {
-                        0 => a.on_message(&m, t),
-                        1 => b.on_message(&m, t),
-                        OBSERVER_SITE => o.on_message(&m, t),
+                        0 => a.on_message(from, &m, t),
+                        1 => b.on_message(from, &m, t),
+                        OBSERVER => o.on_message(from, &m, t),
                         _ => panic!("no site {dst}"),
                     };
                 }
@@ -819,9 +822,9 @@ mod tests {
             let ma = a.outgoing(t);
             let mb = b.outgoing(t);
             let mo = o.outgoing(t);
-            deliver(ma, t, &mut a, &mut b, &mut o);
-            deliver(mb, t, &mut a, &mut b, &mut o);
-            deliver(mo, t, &mut a, &mut b, &mut o);
+            deliver(0, ma, t, &mut a, &mut b, &mut o);
+            deliver(1, mb, t, &mut a, &mut b, &mut o);
+            deliver(OBSERVER, mo, t, &mut a, &mut b, &mut o);
             let wa = a.take();
             let wb = b.take();
             assert!(o.ready(), "observer has both players' inputs");
@@ -838,13 +841,13 @@ mod tests {
     fn a_silent_observer_is_dropped_after_the_retention_window() {
         // Two players and two observers: `live` receives and acks, the
         // other crashed at frame 0 without a `Bye` and never acks.
-        const DEAD: u8 = OBSERVER_SITE - 1;
+        const DEAD: u8 = OBSERVER + 1;
         let (mut a, mut b) = pair();
         let mut cfg_o = SyncConfig::two_player(0);
-        cfg_o.my_site = OBSERVER_SITE;
+        cfg_o.my_site = OBSERVER;
         let mut live = InputSync::new(cfg_o);
         for p in [&mut a, &mut b] {
-            p.add_peer(OBSERVER_SITE, 0);
+            p.add_peer(OBSERVER, 0);
             p.add_peer(DEAD, 0);
         }
         let (mut to_dead, mut max_buffered) = (0, 0);
@@ -853,14 +856,15 @@ mod tests {
             a.begin_frame(f, InputWord(1), t);
             b.begin_frame(f, InputWord(0x0100), t);
             live.begin_frame(f, InputWord::NONE, t);
-            let mut msgs = a.outgoing(t);
-            msgs.extend(b.outgoing(t));
-            msgs.extend(live.outgoing(t));
-            for (dst, m) in msgs {
+            let mut msgs = Vec::new();
+            for (src, sync) in [(0, &mut a), (1, &mut b), (OBSERVER, &mut live)] {
+                msgs.extend(sync.outgoing(t).into_iter().map(|(dst, m)| (src, dst, m)));
+            }
+            for (src, dst, m) in msgs {
                 match dst {
-                    0 => a.on_message(&m, t),
-                    1 => b.on_message(&m, t),
-                    OBSERVER_SITE => live.on_message(&m, t),
+                    0 => a.on_message(src, &m, t),
+                    1 => b.on_message(src, &m, t),
+                    OBSERVER => live.on_message(src, &m, t),
                     _ => {
                         to_dead += 1;
                         continue;
@@ -873,7 +877,7 @@ mod tests {
         }
         for p in [&a, &b] {
             assert_eq!(p.last_ack(DEAD), None, "the dead observer was dropped");
-            assert!(p.last_ack(OBSERVER_SITE).is_some(), "the live one stays");
+            assert!(p.last_ack(OBSERVER).is_some(), "the live one stays");
         }
         // Each player sent to the dead observer until it fell a retention
         // window behind, and held no more than that window of history.
@@ -912,7 +916,7 @@ mod tests {
         // b's inputs arrive late and land behind the pointer.
         b.begin_frame(6, InputWord(0x0100), t);
         for (_, m) in b.outgoing(t) {
-            a.on_message(&m, t);
+            a.on_message(1, &m, t);
         }
         assert_eq!(a.authoritative_frontier(), 12, "b buffered 6..=12");
         assert!(a.has_authoritative(6, 1));
@@ -935,7 +939,7 @@ mod tests {
         let msgs = sites[1].outgoing(t);
         for (dst, m) in msgs {
             if dst == 0 {
-                sites[0].on_message(&m, t);
+                sites[0].on_message(1, &m, t);
             }
         }
         assert_eq!(sites[0].last_rcv(1), Some(6));
@@ -952,20 +956,20 @@ mod tests {
         b.begin_frame(6, InputWord(0x0100), t);
         for (_, m) in b.outgoing(t) {
             // b buffered lag frames 6..=12: seven frames, all new to a.
-            let first = a.on_message(&m, t);
+            let first = a.on_message(1, &m, t);
             assert_eq!(first.carried, 7);
             assert_eq!(first.fresh, 7);
             assert!(!first.duplicate);
             // The identical message again contributes nothing.
-            let dup = a.on_message(&m, t);
+            let dup = a.on_message(1, &m, t);
             assert_eq!(dup.carried, 7);
             assert_eq!(dup.fresh, 0);
             assert!(dup.duplicate);
         }
         // A pure ack is neither fresh nor a duplicate.
         let outcome = a.on_message(
+            1,
             &InputMsg {
-                from: 1,
                 ack: 6,
                 first: 13,
                 inputs: Vec::new(),
@@ -973,6 +977,37 @@ mod tests {
             t,
         );
         assert_eq!(outcome, RecvOutcome::default());
+    }
+
+    #[test]
+    fn inputs_past_a_gap_are_dropped() {
+        // A sender starting past `last_rcv + 1` (one that outlived this
+        // site's state) would have the gap counted as received on zero
+        // input. Its inputs are dropped before they reach the buffer.
+        for gap in [3, 10_000] {
+            let (mut a, mut b) = pair();
+            warmup_isolated(&mut a, &mut b);
+            let t = SimTime::from_secs(1);
+            a.begin_frame(6, InputWord(1), t);
+            assert_eq!(a.last_rcv(1), Some(5));
+            let held = a.buf.len();
+            let skipping = InputMsg {
+                ack: 5,
+                first: 6 + gap,
+                inputs: vec![InputWord(0x0100); 7],
+            };
+            assert_eq!(a.on_message(1, &skipping, t), RecvOutcome::default());
+            assert_eq!(a.last_rcv(1), Some(5), "gap {gap}");
+            assert_eq!(a.buf.len(), held, "gap {gap}: the buffer grew");
+            assert!(!a.ready());
+            // The contiguous message that follows is received as usual.
+            b.begin_frame(6, InputWord(0x0100), t);
+            for (_, m) in b.outgoing(t) {
+                a.on_message(1, &m, t);
+            }
+            assert_eq!(a.last_rcv(1), Some(12), "gap {gap}");
+            assert!(a.ready());
+        }
     }
 
     #[test]
@@ -1023,10 +1058,10 @@ mod tests {
                 );
                 assert_eq!(m.first, 6, "oldest unacked first (init ack = 5)");
                 m.inputs.clear();
-                b.on_message(&m, t);
+                b.on_message(0, &m, t);
             }
             for (_, m) in b.outgoing(t) {
-                a.on_message(&m, t);
+                a.on_message(1, &m, t);
             }
             let _ = a.take();
         }

@@ -25,6 +25,10 @@
 //! (under 128) it spans, in any of the four player slots. The varint and
 //! sparse-word helpers live in [`coplay_net::bytes`].
 //!
+//! No message names its sender. The receiver takes `RmSiteNo` from the
+//! transport, which knows which peer a datagram came from, so a datagram
+//! cannot claim another site's input slots.
+//!
 //! The format is hand-rolled, versioned, and length-checked: exactly what a
 //! production netplay protocol needs, with no serialization framework to
 //! obscure it. A build speaking another version cannot join: its
@@ -48,11 +52,12 @@ use coplay_vm::InputWord;
 
 /// Protocol magic (1 byte) and version (1 byte).
 const MAGIC: u8 = 0xC5;
-/// Version 3 drops `Hello`'s observer byte, which no receiver read (a
-/// joining site is counted by its site number). Version 2 run-length codes
-/// the input words and writes frame numbers as varints; version 1 wrote
+/// Version 4 drops the sender's site byte from `Input`, `Hello` and
+/// `TimeStamp` (the transport names the sender). Version 3 dropped
+/// `Hello`'s observer byte, which no receiver read. Version 2 run-length
+/// codes the input words and writes frame numbers as varints; version 1 wrote
 /// fixed-width fields and one `u32` per frame.
-const VERSION: u8 = 3;
+const VERSION: u8 = 4;
 
 /// Hard cap on input words per message; bounds allocation on receive.
 pub const MAX_INPUTS_PER_MSG: usize = 1024;
@@ -70,8 +75,6 @@ pub const MAX_CHUNK_BYTES: usize = 1024;
 /// A lockstep input batch (the paper's `sd` message).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputMsg {
-    /// Sender's site number.
-    pub from: u8,
     /// `sd[0]`: the sender has received all of *the destination's* partial
     /// inputs up to and including this frame.
     pub ack: u64,
@@ -94,10 +97,8 @@ impl InputMsg {
 pub enum Message {
     /// Input batch (the protocol's workhorse).
     Input(InputMsg),
-    /// Join request: "I am site `site`, my game image hashes to `rom_hash`".
+    /// Join request: "my game image hashes to `rom_hash`".
     Hello {
-        /// Sender's site number.
-        site: u8,
         /// Hash of the sender's game image.
         rom_hash: u64,
     },
@@ -135,8 +136,6 @@ pub enum Message {
     Bye,
     /// A frame-begin stamp for the measurement time server (§4).
     TimeStamp {
-        /// Stamping site.
-        site: u8,
         /// The frame that just began.
         frame: u64,
     },
@@ -183,7 +182,6 @@ impl Message {
         match self {
             Message::Input(m) => {
                 b.put_header(MAGIC, VERSION, ty::INPUT);
-                b.put_u8(m.from);
                 b.put_varint(m.first);
                 b.put_varint(zigzag(m.ack.wrapping_sub(m.first)));
                 b.put_varint(m.inputs.chunk_by(|x, y| x == y).count() as u64);
@@ -192,9 +190,8 @@ impl Message {
                     b.put_sparse_u32(run.first().map_or(0, |w| w.0));
                 }
             }
-            Message::Hello { site, rom_hash } => {
+            Message::Hello { rom_hash } => {
                 b.put_header(MAGIC, VERSION, ty::HELLO);
-                b.put_u8(*site);
                 b.put_u64_le(*rom_hash);
             }
             Message::HelloAck {
@@ -228,9 +225,8 @@ impl Message {
                 b.put_slice(bytes);
             }
             Message::Bye => b.put_header(MAGIC, VERSION, ty::BYE),
-            Message::TimeStamp { site, frame } => {
+            Message::TimeStamp { frame } => {
                 b.put_header(MAGIC, VERSION, ty::TIME_STAMP);
-                b.put_u8(*site);
                 b.put_u64_le(*frame);
             }
         }
@@ -246,8 +242,6 @@ impl Message {
         let mut b = data;
         Ok(match b.get_header(MAGIC, VERSION)? {
             ty::INPUT => {
-                b.need(1)?;
-                let from = b.get_u8();
                 let first = b.get_varint()?;
                 let ack = first.wrapping_add(unzigzag(b.get_varint()?));
                 let runs = b.get_varint()?;
@@ -274,17 +268,11 @@ impl Message {
                     }
                     inputs.resize(need, word);
                 }
-                Message::Input(InputMsg {
-                    from,
-                    ack,
-                    first,
-                    inputs,
-                })
+                Message::Input(InputMsg { ack, first, inputs })
             }
             ty::HELLO => {
-                b.need(1 + 8)?;
+                b.need(8)?;
                 Message::Hello {
-                    site: b.get_u8(),
                     rom_hash: b.get_u64_le(),
                 }
             }
@@ -319,9 +307,8 @@ impl Message {
             }
             ty::BYE => Message::Bye,
             ty::TIME_STAMP => {
-                b.need(1 + 8)?;
+                b.need(8)?;
                 Message::TimeStamp {
-                    site: b.get_u8(),
                     frame: b.get_u64_le(),
                 }
             }
@@ -338,25 +325,21 @@ mod tests {
     fn samples() -> Vec<Message> {
         vec![
             Message::Input(InputMsg {
-                from: 1,
                 ack: 41,
                 first: 42,
                 inputs: vec![InputWord(0xAB), InputWord(0), InputWord(0xFFFF_FFFF)],
             }),
             Message::Input(InputMsg {
-                from: 0,
                 ack: 7,
                 first: 8,
                 inputs: vec![], // pure ack
             }),
             Message::Input(InputMsg {
-                from: 2,
                 ack: u64::MAX,
                 first: 0, // `ack - first` wraps
                 inputs: vec![InputWord(0x0300_0000); 130],
             }),
             Message::Hello {
-                site: 1,
                 rom_hash: 0xDEAD_BEEF_CAFE_F00D,
             },
             Message::HelloAck {
@@ -373,7 +356,7 @@ mod tests {
                 bytes: b"state-bytes".to_vec(),
             },
             Message::Bye,
-            Message::TimeStamp { site: 1, frame: 77 },
+            Message::TimeStamp { frame: 77 },
         ]
     }
 
@@ -396,7 +379,6 @@ mod tests {
         // A large message grows the buffer once; smaller ones after it
         // must reuse the allocation.
         Message::Input(InputMsg {
-            from: 0,
             ack: 0,
             first: 0,
             inputs: vec![InputWord(7); 64],
@@ -410,14 +392,12 @@ mod tests {
     #[test]
     fn input_last_frame_math() {
         let m = InputMsg {
-            from: 0,
             ack: 0,
             first: 10,
             inputs: vec![InputWord(1); 5],
         };
         assert_eq!(m.last(), 14);
         let empty = InputMsg {
-            from: 0,
             ack: 0,
             first: 10,
             inputs: vec![],
@@ -432,10 +412,10 @@ mod tests {
         assert_eq!(Message::decode(&bytes), Err(WireError::Truncated));
     }
 
-    /// An input message's bytes up to its run count: header, `from` 0,
-    /// `first` 0 and `ack` 0.
+    /// An input message's bytes up to its run count: header, `first` 0 and
+    /// `ack` 0.
     fn input_header(runs: u64) -> Vec<u8> {
-        let mut b = vec![MAGIC, VERSION, ty::INPUT, 0, 0, 0];
+        let mut b = vec![MAGIC, VERSION, ty::INPUT, 0, 0];
         b.put_varint(runs);
         b
     }
@@ -480,7 +460,7 @@ mod tests {
         assert_eq!(Message::decode(&b), Err(WireError::Malformed));
 
         // An 11-byte varint in place of `first`.
-        let mut b = vec![MAGIC, VERSION, ty::INPUT, 0];
+        let mut b = vec![MAGIC, VERSION, ty::INPUT];
         b.extend_from_slice(&[0x80; 10]);
         b.extend_from_slice(&[0x00, 0, 0]);
         assert_eq!(Message::decode(&b), Err(WireError::Malformed));
@@ -501,7 +481,6 @@ mod tests {
             let mut inputs = held(0x21, 4);
             inputs.extend(held(0x0C, 2));
             let m = Message::Input(InputMsg {
-                from: 1,
                 ack: 998,
                 first: 1000,
                 inputs,
@@ -522,7 +501,6 @@ mod tests {
                     .map(|i| InputWord::for_player(player, (i % 63) as u8 + 1))
                     .collect();
                 let m = Message::Input(InputMsg {
-                    from: 3,
                     ack: u64::MAX - 1,
                     first: u64::MAX - n as u64,
                     inputs,

@@ -63,7 +63,8 @@ fn run_adversarial(
             let (_, (dest, bytes)) = queue.pop().unwrap();
             let msg = Message::decode(&bytes).expect("replicas only send valid datagrams");
             if let Message::Input(input) = msg {
-                replicas[dest].sync.on_message(&input, now);
+                // Two sites: the sender is the other one.
+                replicas[dest].sync.on_message(1 - dest as u8, &input, now);
             }
         }
 

@@ -9,8 +9,9 @@
 
 use coplay::clock::{SimDuration, SimTime};
 use coplay::games::Pong;
+use coplay::lobby::SESSION_TTL;
 use coplay::net::{loopback, PeerId, Transport};
-use coplay::relay::{RelayConfig, RelayCore, RelaySocket};
+use coplay::relay::{RelayConfig, RelayCore, RelaySocket, MEMBER_TTL};
 use coplay::sync::{LockstepSession, RandomPresser, Step, SyncConfig, Topology};
 use coplay::vm::Player;
 
@@ -112,4 +113,11 @@ fn two_drivers_converge_through_the_relay() {
     site0.stop().expect("site 0 stop");
     site1.stop().expect("site 1 stop");
     pump(&mut core, &mut links, now);
+}
+
+/// A client keeps its lobby listing and its relay membership alive with
+/// one heartbeat cadence, so the two services must expire silence alike.
+#[test]
+fn relay_and_lobby_share_one_heartbeat_ttl() {
+    assert_eq!(MEMBER_TTL, SESSION_TTL);
 }
