@@ -4,7 +4,8 @@
 //! the lobby is infrastructure the paper assumes exists, not part of the
 //! synchronization algorithm. All messages fit one datagram; clients
 //! retransmit requests until answered (the server is stateless per
-//! request).
+//! request). Every datagram opens with the shared two-byte header (magic,
+//! then version and type in one byte); text fields carry a varint length.
 
 // A wire codec reads untrusted bytes: it never indexes out of range (the
 // crate root denies the panic family).
@@ -16,7 +17,9 @@ use coplay_net::bytes::{Buf, BufMut, WireError};
 use coplay_net::PeerId;
 
 const MAGIC: u8 = 0xC6;
-const VERSION: u8 = 6;
+/// Version 7 folds the version into the type byte and writes text lengths
+/// as varints.
+const VERSION: u8 = 7;
 
 /// Longest session name accepted.
 pub const MAX_NAME: usize = 64;
@@ -144,8 +147,8 @@ mod ty {
 }
 
 /// Reads a length-prefixed UTF-8 text field (see [`Buf::get_field`]).
-fn get_text(b: &mut &[u8], width: usize, cap: usize) -> Result<String, WireError> {
-    let raw = b.get_field(width, cap)?;
+fn get_text(b: &mut &[u8], cap: usize) -> Result<String, WireError> {
+    let raw = b.get_field(cap)?;
     String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed)
 }
 
@@ -187,9 +190,7 @@ impl LobbyMessage {
                 slots,
             } => {
                 b.put_header(MAGIC, VERSION, ty::REGISTER);
-                let name = truncate_name(name);
-                b.put_u8(name.len() as u8);
-                b.put_slice(name);
+                b.put_field(truncate_name(name));
                 b.put_u64_le(*rom_hash);
                 b.put_u8(*slots);
             }
@@ -211,9 +212,7 @@ impl LobbyMessage {
                 b.put_u8(sessions.len().min(MAX_LISTED) as u8);
                 for s in sessions.iter().take(MAX_LISTED) {
                     b.put_u32_le(s.id.0);
-                    let name = truncate_name(&s.name);
-                    b.put_u8(name.len() as u8);
-                    b.put_slice(name);
+                    b.put_field(truncate_name(&s.name));
                     b.put_u64_le(s.rom_hash);
                     b.put_u8(s.slots);
                     b.put_u8(s.free);
@@ -247,9 +246,7 @@ impl LobbyMessage {
             LobbyMessage::MetricsRequest => b.put_header(MAGIC, VERSION, ty::METRICS_REQUEST),
             LobbyMessage::MetricsReport { text } => {
                 b.put_header(MAGIC, VERSION, ty::METRICS_REPORT);
-                let text = truncate_exposition(text);
-                b.put_u32_le(text.len() as u32);
-                b.put_slice(text);
+                b.put_field(truncate_exposition(text));
             }
         }
         b
@@ -265,7 +262,7 @@ impl LobbyMessage {
         let mut b = data;
         Ok(match b.get_header(MAGIC, VERSION)? {
             ty::REGISTER => {
-                let name = get_text(&mut b, 1, MAX_NAME)?;
+                let name = get_text(&mut b, MAX_NAME)?;
                 b.need(9)?;
                 LobbyMessage::Register {
                     name,
@@ -302,7 +299,7 @@ impl LobbyMessage {
                 for _ in 0..n {
                     b.need(4)?;
                     let id = SessionId(b.get_u32_le());
-                    let name = get_text(&mut b, 1, MAX_NAME)?;
+                    let name = get_text(&mut b, MAX_NAME)?;
                     b.need(11)?;
                     sessions.push(SessionEntry {
                         id,
@@ -343,7 +340,7 @@ impl LobbyMessage {
             }
             ty::METRICS_REQUEST => LobbyMessage::MetricsRequest,
             ty::METRICS_REPORT => LobbyMessage::MetricsReport {
-                text: get_text(&mut b, 4, MAX_METRICS_TEXT)?,
+                text: get_text(&mut b, MAX_METRICS_TEXT)?,
             },
             other => return Err(WireError::UnknownType(other)),
         })
@@ -447,7 +444,7 @@ mod tests {
     fn truncated_payloads_rejected() {
         for m in samples() {
             let mut bytes = m.encode();
-            if bytes.len() > 3 {
+            if bytes.len() > 2 {
                 bytes.truncate(bytes.len() - 1);
                 assert!(
                     LobbyMessage::decode(&bytes).is_err(),

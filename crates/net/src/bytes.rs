@@ -1,16 +1,17 @@
 //! The datagram frame and byte-buffer utilities shared by the wire codecs.
 //!
 //! Every codec — sync (`0xC5`), lobby (`0xC6`) and relay (`0xC7`) — writes
-//! the same frame: a three-byte header (magic, version, message type) and
-//! then the message's fields, little-endian. This module holds that frame
-//! once: the [`WireError`] every decoder returns, the header writer
-//! ([`BufMut::put_header`]) and reader ([`Buf::get_header`]), the length
-//! gate ([`Buf::need`]) and the reader for a capped, length-prefixed byte
-//! field ([`Buf::get_field`]). A codec keeps only its magic byte, its
-//! version, its type tags and its field layouts. It also holds the two
-//! compact encodings of the sync input message: LEB128 varints and sparse
-//! words (a presence mask, then the non-zero bytes). Everything is local
-//! because the build environment is offline.
+//! the same frame: the magic byte, one byte holding the version (high
+//! nibble) and message type (low nibble), then the fields. Hashes and ids
+//! are fixed-width little-endian; lengths, counters and frame numbers are
+//! LEB128 varints. This module holds that frame once: the [`WireError`]
+//! every decoder returns, the header writer ([`BufMut::put_header`]) and
+//! reader ([`Buf::get_header`]), the length gate ([`Buf::need`]) and the
+//! capped, length-prefixed byte field ([`BufMut::put_field`],
+//! [`Buf::get_field`]). A codec keeps only its magic byte, its version,
+//! its type tags and its field layouts. The sync input message's sparse
+//! words (a presence mask, then the non-zero bytes) live here too.
+//! Everything is local because the build environment is offline.
 //!
 //! Fixed-width reads are cursor-style over a plain `&[u8]` and are
 //! **total**: a getter on a too-short slice drains it and returns zero
@@ -49,8 +50,8 @@ pub enum WireError {
     /// A length field exceeds its hard cap.
     TooLarge,
     /// A field is not a value of its encoding: a varint longer than ten
-    /// bytes or above `u64::MAX`, a presence mask with bits above the
-    /// fourth byte, a zero-length run, or text that is not UTF-8.
+    /// bytes or above its field's width, a presence mask with bits above
+    /// the fourth byte, a zero-length run, or text that is not UTF-8.
     Malformed,
 }
 
@@ -91,27 +92,25 @@ pub trait Buf<'a> {
     /// nothing) if fewer than `n` remain.
     fn try_take(&mut self, n: usize) -> Option<&'a [u8]>;
     /// Reads the frame header written by [`BufMut::put_header`], checks
-    /// its magic byte and version, and returns the message type byte.
+    /// its magic byte and version, and returns the message type.
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] if fewer than three bytes remain,
+    /// [`WireError::Truncated`] if fewer than two bytes remain,
     /// [`WireError::BadMagic`] or [`WireError::BadVersion`] on a mismatch.
     fn get_header(&mut self, magic: u8, version: u8) -> Result<u8, WireError>;
-    /// Reads a byte field written as a `width`-byte little-endian length
-    /// (1, 2 or 4 bytes) followed by that many bytes, and returns the
-    /// bytes. The length is checked against `cap` before anything is
-    /// taken, so no datagram can make its decoder hold more than `cap`.
+    /// Reads a byte field written by [`BufMut::put_field`] and returns the
+    /// bytes. The varint length is checked against `cap` before any byte
+    /// is taken, so no datagram can make its decoder hold more than `cap`.
     ///
     /// # Errors
     ///
     /// [`WireError::TooLarge`] if the length exceeds `cap`,
-    /// [`WireError::Truncated`] if the slice ends inside the field.
-    fn get_field(&mut self, width: usize, cap: usize) -> Result<&'a [u8], WireError>;
+    /// [`WireError::Truncated`] if the slice ends inside the field,
+    /// [`WireError::Malformed`] if the length is not a varint.
+    fn get_field(&mut self, cap: usize) -> Result<&'a [u8], WireError>;
     /// Reads one byte (`0` on underflow).
     fn get_u8(&mut self) -> u8;
-    /// Reads a little-endian `u16` (`0` on underflow).
-    fn get_u16_le(&mut self) -> u16;
     /// Reads a little-endian `u32` (`0` on underflow).
     fn get_u32_le(&mut self) -> u32;
     /// Reads a little-endian `u64` (`0` on underflow).
@@ -124,6 +123,14 @@ pub trait Buf<'a> {
     /// [`WireError::Malformed`] if the varint runs past ten bytes or
     /// `u64::MAX`.
     fn get_varint(&mut self) -> Result<u64, WireError>;
+    /// Reads a varint that must fit a `u32` (a counter or offset).
+    ///
+    /// # Errors
+    ///
+    /// As [`get_varint`](Buf::get_varint); [`WireError::Malformed`] past 32 bits.
+    fn get_varint_u32(&mut self) -> Result<u32, WireError> {
+        u32::try_from(self.get_varint()?).map_err(|_| WireError::Malformed)
+    }
     /// Reads a word written by [`BufMut::put_sparse_u32`].
     ///
     /// # Errors
@@ -181,30 +188,26 @@ impl<'a> Buf<'a> for &'a [u8] {
     #[inline]
     fn get_header(&mut self, magic: u8, version: u8) -> Result<u8, WireError> {
         let s = *self;
-        let Some((&[m, v, t], rest)) = s.split_first_chunk() else {
+        let Some((&[m, vt], rest)) = s.split_first_chunk() else {
             return Err(WireError::Truncated);
         };
         if m != magic {
             return Err(WireError::BadMagic);
         }
-        if v != version {
-            return Err(WireError::BadVersion(v));
+        if vt >> 4 != version {
+            return Err(WireError::BadVersion(vt >> 4));
         }
         *self = rest;
-        Ok(t)
+        Ok(vt & 0x0F)
     }
 
     #[inline]
-    fn get_field(&mut self, width: usize, cap: usize) -> Result<&'a [u8], WireError> {
-        let prefix = self.try_take(width).ok_or(WireError::Truncated)?;
-        let n = prefix
-            .iter()
-            .rev()
-            .fold(0usize, |n, &b| n << 8 | usize::from(b));
-        if n > cap {
+    fn get_field(&mut self, cap: usize) -> Result<&'a [u8], WireError> {
+        let n = self.get_varint()?;
+        if n > cap as u64 {
             return Err(WireError::TooLarge);
         }
-        self.try_take(n).ok_or(WireError::Truncated)
+        self.try_take(n as usize).ok_or(WireError::Truncated)
     }
 
     fn get_u8(&mut self) -> u8 {
@@ -216,10 +219,6 @@ impl<'a> Buf<'a> for &'a [u8] {
             }
             None => 0,
         }
-    }
-
-    fn get_u16_le(&mut self) -> u16 {
-        get_le!(self, u16)
     }
 
     fn get_u32_le(&mut self) -> u32 {
@@ -278,8 +277,6 @@ impl<'a> Buf<'a> for &'a [u8] {
 pub trait BufMut {
     /// Appends one byte.
     fn put_u8(&mut self, v: u8);
-    /// Appends a `u16` in little-endian order.
-    fn put_u16_le(&mut self, v: u16);
     /// Appends a `u32` in little-endian order.
     fn put_u32_le(&mut self, v: u32);
     /// Appends a `u64` in little-endian order.
@@ -287,8 +284,11 @@ pub trait BufMut {
     /// Appends a byte slice verbatim.
     fn put_slice(&mut self, src: &[u8]);
     /// Appends the frame header every codec's datagram starts with: the
-    /// codec's magic byte, its version and the message type byte.
+    /// codec's magic byte, then its version (below 16) in the high nibble
+    /// and the message type (below 16) in the low one.
     fn put_header(&mut self, magic: u8, version: u8, ty: u8);
+    /// Appends a byte field: its length as a varint, then the bytes.
+    fn put_field(&mut self, bytes: &[u8]);
     /// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
     /// group first, the high bit set on every byte but the last (1 byte
     /// below 128, at most 10).
@@ -305,10 +305,6 @@ impl BufMut for Vec<u8> {
         self.push(v);
     }
 
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
     fn put_u32_le(&mut self, v: u32) {
         self.extend_from_slice(&v.to_le_bytes());
     }
@@ -322,7 +318,13 @@ impl BufMut for Vec<u8> {
     }
 
     fn put_header(&mut self, magic: u8, version: u8, ty: u8) {
-        self.extend_from_slice(&[magic, version, ty]);
+        debug_assert!(version < 16 && ty < 16, "header nibble overflow");
+        self.extend_from_slice(&[magic, version << 4 | ty]);
+    }
+
+    fn put_field(&mut self, bytes: &[u8]) {
+        self.put_varint(bytes.len() as u64);
+        self.extend_from_slice(bytes);
     }
 
     #[inline]
@@ -360,16 +362,14 @@ mod tests {
     fn roundtrip_all_widths() {
         let mut v = Vec::new();
         v.put_u8(0xAB);
-        v.put_u16_le(0x0102);
         v.put_u32_le(0x0304_0506);
         v.put_u64_le(0x0708_090A_0B0C_0D0E);
         v.put_slice(b"xy");
-        assert_eq!(v.len(), 17);
+        assert_eq!(v.len(), 15);
 
         let mut r: &[u8] = &v;
-        assert_eq!(r.remaining(), 17);
+        assert_eq!(r.remaining(), 15);
         assert_eq!(r.get_u8(), 0xAB);
-        assert_eq!(r.get_u16_le(), 0x0102);
         assert_eq!(r.get_u32_le(), 0x0304_0506);
         assert_eq!(r.get_u64_le(), 0x0708_090A_0B0C_0D0E);
         assert_eq!(r.try_take(2), Some(&b"xy"[..]));
@@ -382,7 +382,6 @@ mod tests {
         assert_eq!(r.get_u32_le(), 0, "one byte cannot make a u32");
         assert_eq!(r.remaining(), 0, "underflow drains the cursor");
         assert_eq!(r.get_u8(), 0);
-        assert_eq!(r.get_u16_le(), 0);
         assert_eq!(r.get_u64_le(), 0);
     }
 
@@ -397,18 +396,57 @@ mod tests {
     }
 
     #[test]
-    fn fields_read_their_little_endian_length_and_check_the_cap() {
-        let mut r: &[u8] = &[2, b'a', b'b', 3, 0, b'c', b'd', b'e', 1, 0, 0, 0, b'f'];
-        assert_eq!(r.get_field(1, 2), Ok(&b"ab"[..]));
-        assert_eq!(r.get_field(2, 3), Ok(&b"cde"[..]));
-        assert_eq!(r.get_field(4, 1), Ok(&b"f"[..]));
+    fn header_is_two_bytes_with_the_version_in_the_high_nibble() {
+        let mut w = Vec::new();
+        w.put_header(0xC5, 5, 1);
+        assert_eq!(w, [0xC5, 0x51]);
+        let mut r: &[u8] = &[0xC5, 0x51, 0xEE];
+        assert_eq!(r.get_header(0xC5, 5), Ok(1));
+        assert_eq!(r, [0xEE], "the header is two bytes");
+        // A three-byte header of an older build reads as version 0.
+        let mut r: &[u8] = &[0xC5, 0x04, 0x01];
+        assert_eq!(r.get_header(0xC5, 5), Err(WireError::BadVersion(0)));
+        let mut r: &[u8] = &[0xC6, 0x51];
+        assert_eq!(r.get_header(0xC5, 5), Err(WireError::BadMagic));
+        let mut r: &[u8] = &[0xC5];
+        assert_eq!(r.get_header(0xC5, 5), Err(WireError::Truncated));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "header nibble overflow")]
+    fn a_version_past_the_nibble_is_caught_on_encode() {
+        Vec::<u8>::new().put_header(0xC5, 16, 1);
+    }
+
+    #[test]
+    fn fields_read_their_varint_length_and_check_the_cap() {
+        let mut w = Vec::new();
+        w.put_field(b"ab");
+        w.put_field(&[7; 200]);
+        assert_eq!(w.len(), 1 + 2 + 2 + 200, "a length under 128 is one byte");
+        let mut r: &[u8] = &w;
+        assert_eq!(r.get_field(2), Ok(&b"ab"[..]));
+        assert_eq!(r.get_field(200), Ok(&[7; 200][..]));
         // The cap is checked before the bytes are looked for.
-        let mut r: &[u8] = &[0xFF, 0xFF];
-        assert_eq!(r.get_field(2, 1024), Err(WireError::TooLarge));
+        let mut r: &[u8] = &[0xFF, 0xFF, 0x03];
+        assert_eq!(r.get_field(1024), Err(WireError::TooLarge));
         let mut r: &[u8] = &[3, b'a'];
-        assert_eq!(r.get_field(1, 8), Err(WireError::Truncated));
-        let mut r: &[u8] = &[3];
-        assert_eq!(r.get_field(2, 8), Err(WireError::Truncated));
+        assert_eq!(r.get_field(8), Err(WireError::Truncated));
+        let mut r: &[u8] = &[0x83];
+        assert_eq!(r.get_field(8), Err(WireError::Truncated));
+        let mut r: &[u8] = &[0x80; 11];
+        assert_eq!(r.get_field(8), Err(WireError::Malformed));
+    }
+
+    #[test]
+    fn u32_varints_refuse_wider_values() {
+        let mut w = Vec::new();
+        w.put_varint(u64::from(u32::MAX));
+        w.put_varint(u64::from(u32::MAX) + 1);
+        let mut r: &[u8] = &w;
+        assert_eq!(r.get_varint_u32(), Ok(u32::MAX));
+        assert_eq!(r.get_varint_u32(), Err(WireError::Malformed));
     }
 
     #[test]

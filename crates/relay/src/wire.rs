@@ -10,6 +10,10 @@
 //! fit one datagram; registration is idempotent and clients retransmit it
 //! until acknowledged.
 //!
+//! Every datagram opens with the shared two-byte header; an envelope adds
+//! the site byte and a varint payload length (4 bytes of framing under 128
+//! payload bytes). Session ids are random, so they stay fixed `u32`s.
+//!
 //! The envelopes borrow their payload from the datagram they were decoded
 //! from, so the relay's fan-out and the client's unwrap copy nothing on
 //! the way through the codec.
@@ -21,7 +25,9 @@
 use coplay_net::bytes::{Buf, BufMut, WireError};
 
 const MAGIC: u8 = 0xC7;
-const VERSION: u8 = 1;
+/// Version 2 folds the version into the type byte and writes the envelope
+/// length as a varint; version 1 wrote a three-byte header and a `u16`.
+const VERSION: u8 = 2;
 
 /// Largest opaque payload one [`Forward`](RelayMessage::Forward) or
 /// [`Deliver`](RelayMessage::Deliver) envelope may carry. Comfortably above
@@ -182,14 +188,14 @@ impl<'a> RelayMessage<'a> {
                 b.need(1)?;
                 RelayMessage::Forward {
                     dest: b.get_u8(),
-                    payload: b.get_field(2, MAX_RELAY_PAYLOAD)?,
+                    payload: b.get_field(MAX_RELAY_PAYLOAD)?,
                 }
             }
             ty::DELIVER => {
                 b.need(1)?;
                 RelayMessage::Deliver {
                     from_site: b.get_u8(),
-                    payload: b.get_field(2, MAX_RELAY_PAYLOAD)?,
+                    payload: b.get_field(MAX_RELAY_PAYLOAD)?,
                 }
             }
             ty::HEARTBEAT => {
@@ -215,14 +221,12 @@ impl<'a> RelayMessage<'a> {
     }
 }
 
-/// Writes the header and the `(site byte, u16 length, payload)` body
+/// Writes the header and the `(site byte, varint length, payload)` body
 /// shared by `Forward` and `Deliver`, clamping an over-cap payload.
 fn put_envelope(out: &mut Vec<u8>, t: u8, site: u8, payload: &[u8]) {
-    let payload = clamp_payload(payload);
     out.put_header(MAGIC, VERSION, t);
     out.put_u8(site);
-    out.put_u16_le(payload.len() as u16);
-    out.put_slice(payload);
+    out.put_field(clamp_payload(payload));
 }
 
 /// Truncates an over-cap payload so the length prefix and the written
@@ -293,12 +297,55 @@ mod tests {
     }
 
     #[test]
+    fn envelopes_add_four_bytes_under_128_and_five_at_the_cap() {
+        // Header 2, site 1, and a length of 1 byte below 128 or 2 to the cap.
+        for (len, framing) in [(0, 4), (1, 4), (127, 4), (128, 5), (MAX_RELAY_PAYLOAD, 5)] {
+            let payload = vec![0xA5; len];
+            for msg in [
+                RelayMessage::Forward {
+                    dest: 1,
+                    payload: &payload,
+                },
+                RelayMessage::Deliver {
+                    from_site: 1,
+                    payload: &payload,
+                },
+            ] {
+                let bytes = msg.encode();
+                assert_eq!(bytes.len(), len + framing, "{len} B payload");
+                assert_eq!(RelayMessage::decode(&bytes), Ok(msg));
+            }
+        }
+    }
+
+    /// A `Forward` to site 0 up to its length, which the caller writes.
+    fn forward_header() -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.put_header(MAGIC, VERSION, ty::FORWARD);
+        bytes.put_u8(0);
+        bytes
+    }
+
+    #[test]
     fn oversized_length_prefix_rejected_before_allocation() {
         // A Forward claiming a payload over the cap must fail TooLarge even
-        // though the datagram itself is tiny.
-        let mut bytes = vec![MAGIC, VERSION, 3, 0];
-        bytes.put_u16_le((MAX_RELAY_PAYLOAD + 1) as u16);
+        // though the datagram itself is tiny: the length is refused before
+        // any payload byte is looked for.
+        let mut bytes = forward_header();
+        bytes.put_varint(MAX_RELAY_PAYLOAD as u64 + 1);
         assert_eq!(RelayMessage::decode(&bytes), Err(WireError::TooLarge));
+        let mut bytes = forward_header();
+        bytes.put_varint(u64::MAX);
+        assert_eq!(RelayMessage::decode(&bytes), Err(WireError::TooLarge));
+    }
+
+    #[test]
+    fn an_eleven_byte_length_is_malformed() {
+        let mut bytes = forward_header();
+        bytes.extend_from_slice(&[0x80; 10]);
+        bytes.push(0x01);
+        bytes.extend_from_slice(&[0xA5; 16]);
+        assert_eq!(RelayMessage::decode(&bytes), Err(WireError::Malformed));
     }
 
     #[test]

@@ -63,8 +63,9 @@ struct PeerState {
     last_rcv: u64,
     /// `LastAckFrame[p]`: the last of *our* partials `p` has acknowledged.
     last_ack: u64,
-    /// Highest local frame ever transmitted to `p` (telemetry only: frames
-    /// at or below this in a later message are retransmissions).
+    /// Highest local frame ever transmitted to `p`: frames at or below
+    /// this in a later message are retransmissions, and `p` cannot ack
+    /// past it.
     last_sent: u64,
     /// We owe `p` a fresh ack (we received something since our last send).
     need_ack: bool,
@@ -403,6 +404,7 @@ impl InputSync {
         if from == self.cfg.my_site {
             return RecvOutcome::default();
         }
+        let is_player = self.is_player();
         let Some(peer) = self.peers.get_mut(&from) else {
             return RecvOutcome::default(); // unknown sender: drop, as with any open UDP port
         };
@@ -451,8 +453,9 @@ impl InputSync {
             }
         }
 
-        // Lines 17–19: advance LastAckFrame[from].
-        if msg.ack > peer.last_ack {
+        // Lines 17–19: advance LastAckFrame[from]. A player ignores an ack
+        // past what it ever sent `from`: it would skip frames `from` needs.
+        if msg.ack > peer.last_ack && (!is_player || msg.ack <= peer.last_sent) {
             peer.last_ack = msg.ack;
         }
 
@@ -850,7 +853,7 @@ mod tests {
             p.add_peer(OBSERVER, 0);
             p.add_peer(DEAD, 0);
         }
-        let (mut to_dead, mut max_buffered) = (0, 0);
+        let (mut to_dead, mut max_buffered, mut max_observed) = (0, 0, 0);
         for f in 0..5_000u64 {
             let t = SimTime::from_millis(f * 25);
             a.begin_frame(f, InputWord(1), t);
@@ -874,6 +877,7 @@ mod tests {
             assert_eq!(a.take(), b.take());
             assert_eq!(live.take(), InputWord(if f < 6 { 0 } else { 0x0101 }));
             max_buffered = max_buffered.max(a.buf.len());
+            max_observed = max_observed.max(live.buf.len());
         }
         for p in [&a, &b] {
             assert_eq!(p.last_ack(DEAD), None, "the dead observer was dropped");
@@ -883,6 +887,8 @@ mod tests {
         // window behind, and held no more than that window of history.
         assert!(to_dead <= 2 * (RETAIN_FRAMES + 2), "{to_dead} messages");
         assert!(max_buffered as u64 <= RETAIN_FRAMES + 16, "{max_buffered}");
+        // The players' acks keep pruning the observer's own buffer.
+        assert!(max_observed as u64 <= RETAIN_FRAMES + 16, "{max_observed}");
     }
 
     #[test]
@@ -1008,6 +1014,34 @@ mod tests {
             assert_eq!(a.last_rcv(1), Some(12), "gap {gap}");
             assert!(a.ready());
         }
+    }
+
+    #[test]
+    fn an_ack_past_what_was_sent_is_ignored() {
+        // One pure ack of a frame site 0 never sent must not move its
+        // retransmission window past frames site 1 still needs.
+        let (mut a, mut b) = pair();
+        warmup_isolated(&mut a, &mut b);
+        let bogus = InputMsg {
+            ack: 1000,
+            first: 6,
+            inputs: Vec::new(),
+        };
+        a.on_message(1, &bogus, now());
+        assert_eq!(a.last_ack(1), Some(5), "the ack was taken");
+        a.begin_frame(6, InputWord(1), now());
+        b.begin_frame(6, InputWord(0x0100), now());
+        for round in 1..4 {
+            let t = SimTime::from_millis(round * 25);
+            for (_, m) in a.outgoing(t) {
+                b.on_message(0, &m, t);
+            }
+            for (_, m) in b.outgoing(t) {
+                a.on_message(1, &m, t);
+            }
+        }
+        assert_eq!(b.last_rcv(0), Some(12), "site 0 stopped sending to site 1");
+        assert!(a.ready() && b.ready());
     }
 
     #[test]

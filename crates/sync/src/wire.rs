@@ -29,6 +29,10 @@
 //! transport, which knows which peer a datagram came from, so a datagram
 //! cannot claim another site's input slots.
 //!
+//! Every datagram opens with the shared two-byte header (magic, then
+//! version and type in one byte). The other messages write hashes as fixed
+//! `u64`s and their frame numbers, nonces, offsets and lengths as varints.
+//!
 //! The format is hand-rolled, versioned, and length-checked: exactly what a
 //! production netplay protocol needs, with no serialization framework to
 //! obscure it. A build speaking another version cannot join: its
@@ -50,14 +54,16 @@ pub use coplay_net::bytes::WireError;
 use coplay_net::bytes::{Buf, BufMut};
 use coplay_vm::InputWord;
 
-/// Protocol magic (1 byte) and version (1 byte).
+/// Protocol magic byte and version (see [`coplay_net::bytes`]).
 const MAGIC: u8 = 0xC5;
-/// Version 4 drops the sender's site byte from `Input`, `Hello` and
-/// `TimeStamp` (the transport names the sender). Version 3 dropped
-/// `Hello`'s observer byte, which no receiver read. Version 2 run-length
-/// codes the input words and writes frame numbers as varints; version 1 wrote
-/// fixed-width fields and one `u32` per frame.
-const VERSION: u8 = 4;
+/// Version 5 folds the version into the type byte and writes every
+/// counter, frame number and length as a varint. Version 4 dropped the
+/// sender's site byte from `Input`, `Hello` and `TimeStamp` (the transport
+/// names the sender). Version 3 dropped `Hello`'s observer byte, which no
+/// receiver read. Version 2 run-length codes the input words and writes
+/// frame numbers as varints; version 1 wrote fixed-width fields and one
+/// `u32` per frame.
+const VERSION: u8 = 5;
 
 /// Hard cap on input words per message; bounds allocation on receive.
 pub const MAX_INPUTS_PER_MSG: usize = 1024;
@@ -200,15 +206,15 @@ impl Message {
             } => {
                 b.put_header(MAGIC, VERSION, ty::HELLO_ACK);
                 b.put_u64_le(*rom_hash);
-                b.put_u64_le(*start_frame);
+                b.put_varint(*start_frame);
             }
             Message::Ping { nonce } => {
                 b.put_header(MAGIC, VERSION, ty::PING);
-                b.put_u32_le(*nonce);
+                b.put_varint(u64::from(*nonce));
             }
             Message::Pong { nonce } => {
                 b.put_header(MAGIC, VERSION, ty::PONG);
-                b.put_u32_le(*nonce);
+                b.put_varint(u64::from(*nonce));
             }
             Message::SnapshotRequest => b.put_header(MAGIC, VERSION, ty::SNAPSHOT_REQUEST),
             Message::SnapshotChunk {
@@ -218,16 +224,15 @@ impl Message {
                 bytes,
             } => {
                 b.put_header(MAGIC, VERSION, ty::SNAPSHOT_CHUNK);
-                b.put_u64_le(*frame);
-                b.put_u32_le(*offset);
-                b.put_u32_le(*total);
-                b.put_u16_le(bytes.len() as u16);
-                b.put_slice(bytes);
+                b.put_varint(*frame);
+                b.put_varint(u64::from(*offset));
+                b.put_varint(u64::from(*total));
+                b.put_field(bytes);
             }
             Message::Bye => b.put_header(MAGIC, VERSION, ty::BYE),
             Message::TimeStamp { frame } => {
                 b.put_header(MAGIC, VERSION, ty::TIME_STAMP);
-                b.put_u64_le(*frame);
+                b.put_varint(*frame);
             }
         }
     }
@@ -277,41 +282,29 @@ impl Message {
                 }
             }
             ty::HELLO_ACK => {
-                b.need(8 + 8)?;
+                b.need(8)?;
                 Message::HelloAck {
                     rom_hash: b.get_u64_le(),
-                    start_frame: b.get_u64_le(),
+                    start_frame: b.get_varint()?,
                 }
             }
-            ty::PING => {
-                b.need(4)?;
-                Message::Ping {
-                    nonce: b.get_u32_le(),
-                }
-            }
-            ty::PONG => {
-                b.need(4)?;
-                Message::Pong {
-                    nonce: b.get_u32_le(),
-                }
-            }
+            ty::PING => Message::Ping {
+                nonce: b.get_varint_u32()?,
+            },
+            ty::PONG => Message::Pong {
+                nonce: b.get_varint_u32()?,
+            },
             ty::SNAPSHOT_REQUEST => Message::SnapshotRequest,
-            ty::SNAPSHOT_CHUNK => {
-                b.need(8 + 4 + 4)?;
-                Message::SnapshotChunk {
-                    frame: b.get_u64_le(),
-                    offset: b.get_u32_le(),
-                    total: b.get_u32_le(),
-                    bytes: b.get_field(2, MAX_CHUNK_BYTES)?.to_vec(),
-                }
-            }
+            ty::SNAPSHOT_CHUNK => Message::SnapshotChunk {
+                frame: b.get_varint()?,
+                offset: b.get_varint_u32()?,
+                total: b.get_varint_u32()?,
+                bytes: b.get_field(MAX_CHUNK_BYTES)?.to_vec(),
+            },
             ty::BYE => Message::Bye,
-            ty::TIME_STAMP => {
-                b.need(8)?;
-                Message::TimeStamp {
-                    frame: b.get_u64_le(),
-                }
-            }
+            ty::TIME_STAMP => Message::TimeStamp {
+                frame: b.get_varint()?,
+            },
             other => return Err(WireError::UnknownType(other)),
         })
     }
@@ -415,7 +408,9 @@ mod tests {
     /// An input message's bytes up to its run count: header, `first` 0 and
     /// `ack` 0.
     fn input_header(runs: u64) -> Vec<u8> {
-        let mut b = vec![MAGIC, VERSION, ty::INPUT, 0, 0];
+        let mut b = Vec::new();
+        b.put_header(MAGIC, VERSION, ty::INPUT);
+        b.extend_from_slice(&[0, 0]);
         b.put_varint(runs);
         b
     }
@@ -460,7 +455,8 @@ mod tests {
         assert_eq!(Message::decode(&b), Err(WireError::Malformed));
 
         // An 11-byte varint in place of `first`.
-        let mut b = vec![MAGIC, VERSION, ty::INPUT];
+        let mut b = Vec::new();
+        b.put_header(MAGIC, VERSION, ty::INPUT);
         b.extend_from_slice(&[0x80; 10]);
         b.extend_from_slice(&[0x00, 0, 0]);
         assert_eq!(Message::decode(&b), Err(WireError::Malformed));
@@ -473,9 +469,11 @@ mod tests {
     }
 
     #[test]
-    fn wan_rollback_shaped_message_fits_in_14_bytes() {
+    fn wan_rollback_shaped_message_fits_in_12_bytes() {
         // About six frames carried per datagram, in two held inputs, with
-        // frame numbers past 127 so `first` needs two varint bytes.
+        // frame numbers past 127 so `first` needs two varint bytes: a
+        // 2-byte header, 2 for `first`, 1 each for the ack and the run
+        // count, and 3 per run.
         for player in (0..Player::MAX as u8).map(Player) {
             let held = |buttons: u8, n: usize| vec![InputWord::for_player(player, buttons); n];
             let mut inputs = held(0x21, 4);
@@ -486,7 +484,7 @@ mod tests {
                 inputs,
             });
             let bytes = m.encode();
-            assert!(bytes.len() <= 14, "{player:?}: {} B", bytes.len());
+            assert!(bytes.len() <= 12, "{player:?}: {} B", bytes.len());
             assert_eq!(Message::decode(&bytes).unwrap(), m);
         }
     }

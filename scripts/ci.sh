@@ -20,8 +20,9 @@ echo "==> cargo clippy -D warnings (determinism, panic and unsafe fences)"
 # floats and interior-mutable state in the core, the wire, transport and
 # frame-path modules deny panics, and crate roots forbid unsafe code. Every
 # waiver is an #[expect(..., reason = "...")], so a stale one fails here.
-# Wire-layout drift is caught by tests/wire_golden.rs and heap use on the
-# frame paths by tests/alloc_free.rs, both in the test step.
+# Wire-layout drift is caught by tests/wire_golden.rs, wire volume (each
+# site's datagrams and bytes in seeded sessions) by tests/wire_budget.rs and
+# heap use on the frame paths by tests/alloc_free.rs, all in the test step.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> figure outputs match the committed results/*.txt (deterministic oracle)"
